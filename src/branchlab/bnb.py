@@ -16,7 +16,6 @@ the area between the first and last decision clocks.
 from __future__ import annotations
 
 import enum
-import hashlib
 import heapq
 import json
 import math
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import MilpInstance
+from .instances import MilpInstance, stable_key
 from .observation import extract_observation, state_digest
 from .rules import BranchingPolicy, PseudocostStore, pc_update
 from .simplex import (
@@ -153,6 +152,7 @@ class BnbNode:
     depth: int
     overrides: tuple[BoundOverride, ...]
     lp: LpSolution
+    bound: float        # max of the parent's bound and this LP's objective
     candidate_set: tuple[int, ...] = ()
 
 
@@ -206,11 +206,6 @@ def solve_result_to_json(result: SolveResult) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def instance_key(name: str) -> int:
-    """Stable 64-bit key for per-instance rng streams."""
-    return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
-
-
 @dataclass
 class ResetContext:
     instance: MilpInstance
@@ -252,7 +247,7 @@ class _Engine:
         self.lp_iter_limit = lp_iter_limit
         self.solver = SimplexSolver(inst)
         self.pc = PseudocostStore(inst.num_vars)
-        self.rng = np.random.default_rng([seed, instance_key(inst.name)])
+        self.rng = np.random.default_rng([seed, stable_key(inst.name)])
         self.iterations = 0
         self._wall_start = time.perf_counter()
         self.trace = DualTrace()
@@ -326,6 +321,10 @@ class _Engine:
             self.incumbent_value = value
 
     def _add_child(self, parent: BnbNode, override: BoundOverride) -> None:
+        """Solve one child and queue it. A child LP may come back a little
+        below its parent's (within ``FEAS_TOL``); the child's bound, which
+        keys the heap and so the dual-bound trace, is then the parent's, so
+        the trace never decreases. Pseudocosts see the raw LP objectives."""
         lp = self._solve_lp(parent.overrides + (override,), warm=parent.lp)
         if lp.status is LpStatus.INFEASIBLE:
             return
@@ -342,15 +341,16 @@ class _Engine:
         if not cands:
             self._try_incumbent(lp)
             return
-        if lp.objective >= self.incumbent_value - 1e-9:
+        bound = max(parent.bound, lp.objective)
+        if bound >= self.incumbent_value - 1e-9:
             return
         node = BnbNode(
             id=self.next_id, parent=parent.id, depth=parent.depth + 1,
-            overrides=parent.overrides + (override,), lp=lp, candidate_set=cands,
+            overrides=parent.overrides + (override,), lp=lp, bound=bound, candidate_set=cands,
         )
         self.next_id += 1
         self.nodes[node.id] = node
-        heapq.heappush(self.heap, (lp.objective, node.id))
+        heapq.heappush(self.heap, (bound, node.id))
 
     def _cleanup_heap(self) -> None:
         while self.heap and self.heap[0][0] >= self.incumbent_value - 1e-9:
@@ -383,7 +383,8 @@ class _Engine:
 
         root_cands = self._candidates(root)
         root_node = BnbNode(
-            id=0, parent=None, depth=0, overrides=(), lp=root, candidate_set=root_cands
+            id=0, parent=None, depth=0, overrides=(), lp=root, bound=root.objective,
+            candidate_set=root_cands,
         )
         self.next_id = 1
         if not root_cands:

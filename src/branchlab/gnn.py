@@ -12,10 +12,18 @@ rules score. A per-variable head produces branching logits that are masked to
 the candidate set; a mean-pooled scalar head produces the state value used by
 the envelope fit.
 
-A batch of observations runs as one disjoint-union graph. The forward is
-written once over a small set of operations and runs either on plain numpy
-arrays (inference, loss evaluation) or on the reverse-accumulation tape in
-:mod:`.autodiff` (gradients).
+A batch of observations runs as one disjoint-union graph through one plain
+numpy forward, :func:`_forward`, which serves inference, loss evaluation and
+prenormalisation and returns the activations it computed. :func:`grad`
+differentiates the network with a hand-written backward over those
+activations: the two loss heads, the two half-convolutions and the input
+embeddings. Edge gathers are differentiated by row scatters accumulated with
+``np.bincount`` in index order. Where an embedding feeds several terms, its
+gradient is summed in one fixed order: constraint embeddings as (update self
+term + message gather), variable embeddings as (second update's self term +
+first pass's message gather) + second pass's message gather; a weight's
+ridge term is added after its network term. Results are therefore
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .observation import BipartiteObservation, CATALOG_VERSION, CONS_FEATURES, VAR_FEATURES
 from .rules import BranchingPolicy
 
@@ -67,9 +74,6 @@ class GcnnParameters:
 
     def copy(self) -> "GcnnParameters":
         return GcnnParameters({k: v.copy() for k, v in self.arrays.items()}, dict(self.meta))
-
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.arrays.items()}
 
 
 def init_params(seed: int = 0, zero: bool = False) -> GcnnParameters:
@@ -157,68 +161,125 @@ def stack_observations(observations) -> GraphBatch:
     )
 
 
-class _ArrayOps:
-    """The tape operations the forward uses, on plain arrays."""
-
-    const = staticmethod(np.asarray)
-    matmul = staticmethod(np.matmul)
-    add = staticmethod(np.add)
-    mul_const = staticmethod(np.multiply)
-    relu = staticmethod(lambda a: np.maximum(a, 0.0))
-    gather_rows = staticmethod(lambda a, idx: a[idx])
-    scatter_sum = staticmethod(ad.segment_sum)
+def segment_sum(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row scatter of a 2-D array: out[i] = sum of x[k] over k with
+    idx[k] == i, accumulated by ``np.bincount`` in index order."""
+    width = x.shape[1]
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=x.ravel(), minlength=num_rows * width).reshape(
+        num_rows, width
+    )
 
 
-def _half_conv(ops, P, msg: str, upd: str, cons, var, g: GraphBatch, ev, to_cons: bool,
-               taps: dict | None):
+def segment_logsumexp(x: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:
+    """Stable log-sum-exp of x (1-D) within each segment."""
+    mx = np.full(num_segments, -np.inf)
+    np.maximum.at(mx, seg, x)
+    total = np.bincount(seg, weights=np.exp(x - mx[seg]), minlength=num_segments)
+    return mx + np.log(total)
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """What one half-convolution computed, kept for the backward."""
+
+    msg: str
+    upd: str
+    cons: np.ndarray       # constraint embeddings read by the messages
+    var: np.ndarray        # variable embeddings read by the messages
+    to_cons: bool          # receiving side: constraints, else variables
+    act: np.ndarray        # (E, HIDDEN) relu of the message pre-activations
+    raw: np.ndarray        # summed messages before the prenormalisation scale
+    agg: np.ndarray        # raw times the scale
+    hidden: np.ndarray     # relu of the update's pre-activations
+
+    @property
+    def own(self) -> np.ndarray:
+        return self.cons if self.to_cons else self.var
+
+
+def _half_conv(P, msg: str, upd: str, cons, var, g: GraphBatch, to_cons: bool):
     """One half-convolution: a message per edge from both endpoint embeddings
     and the edge value, summed into the receiving side and prenormalised, then
-    the update. ``taps`` (plain arrays only) receives the raw sums."""
-    pre = ops.add(
-        ops.add(ops.matmul(ops.gather_rows(cons, g.edge_row), P[f"{msg}_w_c"]),
-                ops.matmul(ops.gather_rows(var, g.edge_col), P[f"{msg}_w_v"])),
-        ops.add(ops.matmul(ev, P[f"{msg}_w_e"]), P[f"{msg}_b1"]),
-    )
-    message = ops.add(ops.matmul(ops.relu(pre), P[f"{msg}_w2"]), P[f"{msg}_b2"])
+    the update. Returns the update's output and its :class:`_Pass`."""
+    pre = ((cons[g.edge_row] @ P[f"{msg}_w_c"] + var[g.edge_col] @ P[f"{msg}_w_v"])
+           + (g.edge_val @ P[f"{msg}_w_e"] + P[f"{msg}_b1"]))
+    act = np.maximum(pre, 0.0)
     own, idx = (cons, g.edge_row) if to_cons else (var, g.edge_col)
-    agg = ops.scatter_sum(message, idx, own.shape[0])
-    if taps is not None:
-        taps[msg] = agg
-    agg = ops.mul_const(agg, P[f"{msg}_norm"])
-    hidden = ops.relu(ops.add(ops.add(ops.matmul(own, P[f"{upd}_w_self"]),
-                                      ops.matmul(agg, P[f"{upd}_w_agg"])), P[f"{upd}_b1"]))
-    return ops.add(ops.matmul(hidden, P[f"{upd}_w2"]), P[f"{upd}_b2"])
+    raw = segment_sum(act @ P[f"{msg}_w2"] + P[f"{msg}_b2"], idx, own.shape[0])
+    agg = raw * P[f"{msg}_norm"]
+    hidden = np.maximum((own @ P[f"{upd}_w_self"] + agg @ P[f"{upd}_w_agg"]) + P[f"{upd}_b1"],
+                        0.0)
+    out = hidden @ P[f"{upd}_w2"] + P[f"{upd}_b2"]
+    return out, _Pass(msg, upd, cons, var, to_cons, act, raw, agg, hidden)
 
 
-def _forward(ops, P, g: GraphBatch, taps: dict | None = None):
-    """Stacked logits (N, 1) and per-graph values (B, 1); ``ops`` is either
-    :class:`_ArrayOps` on arrays or :mod:`.autodiff` on tape tensors, so the
-    plain and the taped network are one definition."""
-    ev = ops.const(g.edge_val)
-    V0 = ops.add(ops.matmul(ops.const(g.var_features), P["emb_v_w"]), P["emb_v_b"])
-    C0 = ops.add(ops.matmul(ops.const(g.cons_features), P["emb_c_w"]), P["emb_c_b"])
-    C1 = _half_conv(ops, P, "gc", "fc", C0, V0, g, ev, True, taps)
-    V1 = _half_conv(ops, P, "gv", "fv", C1, V0, g, ev, False, taps)
-    logits = ops.add(ops.matmul(V1, P["pol_w"]), P["pol_b"])
-    pooled = ops.mul_const(ops.scatter_sum(V1, g.var_graph, g.num_graphs), g.pool_scale)
-    values = ops.add(ops.matmul(pooled, P["val_w"]), P["val_b"])
-    return logits, values
+def _forward(P, g: GraphBatch):
+    """Stacked logits (N, 1), per-graph values (B, 1), and the activations
+    the backward and :func:`prenormalize` read."""
+    V0 = g.var_features @ P["emb_v_w"] + P["emb_v_b"]
+    C0 = g.cons_features @ P["emb_c_w"] + P["emb_c_b"]
+    C1, gc = _half_conv(P, "gc", "fc", C0, V0, g, True)
+    V1, gv = _half_conv(P, "gv", "fv", C1, V0, g, False)
+    logits = V1 @ P["pol_w"] + P["pol_b"]
+    pooled = segment_sum(V1, g.var_graph, g.num_graphs) * g.pool_scale
+    values = pooled @ P["val_w"] + P["val_b"]
+    return logits, values, {"gc": gc, "gv": gv, "V1": V1, "pooled": pooled}
+
+
+def _half_conv_backward(P, p: _Pass, g: GraphBatch, d_out: np.ndarray, grads: dict):
+    """Backward of one half-convolution. Stores its parameter gradients in
+    ``grads`` and returns the gradients reaching the receiving side's own
+    embedding (the update's self term) and, through the edge gathers, the
+    constraint and the variable embeddings."""
+    msg, upd = p.msg, p.upd
+    grads[f"{upd}_w2"] = p.hidden.T @ d_out
+    grads[f"{upd}_b2"] = d_out.sum(axis=0)
+    d_hid = (d_out @ P[f"{upd}_w2"].T) * (p.hidden > 0.0)
+    grads[f"{upd}_b1"] = d_hid.sum(axis=0)
+    grads[f"{upd}_w_self"] = p.own.T @ d_hid
+    grads[f"{upd}_w_agg"] = p.agg.T @ d_hid
+    d_own = d_hid @ P[f"{upd}_w_self"].T
+    idx = g.edge_row if p.to_cons else g.edge_col
+    d_msg = ((d_hid @ P[f"{upd}_w_agg"].T) * P[f"{msg}_norm"])[idx]
+    grads[f"{msg}_w2"] = p.act.T @ d_msg
+    grads[f"{msg}_b2"] = d_msg.sum(axis=0)
+    d_pre = (d_msg @ P[f"{msg}_w2"].T) * (p.act > 0.0)
+    grads[f"{msg}_b1"] = d_pre.sum(axis=0)
+    grads[f"{msg}_w_e"] = g.edge_val.T @ d_pre
+    grads[f"{msg}_w_c"] = p.cons[g.edge_row].T @ d_pre
+    grads[f"{msg}_w_v"] = p.var[g.edge_col].T @ d_pre
+    d_cons = segment_sum(d_pre @ P[f"{msg}_w_c"].T, g.edge_row, p.cons.shape[0])
+    d_var = segment_sum(d_pre @ P[f"{msg}_w_v"].T, g.edge_col, p.var.shape[0])
+    return d_own, d_cons, d_var
+
+
+def _backward(P, g: GraphBatch, acts: dict, d_V1: np.ndarray, grads: dict) -> None:
+    """Backward from the last variable embeddings to the input embeddings."""
+    dV_own, dC1, dV_gv = _half_conv_backward(P, acts["gv"], g, d_V1, grads)
+    dC_own, dC_gc, dV_gc = _half_conv_backward(P, acts["gc"], g, dC1, grads)
+    dC0 = dC_own + dC_gc
+    dV0 = (dV_own + dV_gc) + dV_gv
+    grads["emb_v_w"] = g.var_features.T @ dV0
+    grads["emb_v_b"] = dV0.sum(axis=0)
+    grads["emb_c_w"] = g.cons_features.T @ dC0
+    grads["emb_c_b"] = dC0.sum(axis=0)
 
 
 def forward_numpy(params: GcnnParameters, obs: BipartiteObservation) -> tuple[np.ndarray, float]:
     """Returns (per-variable logits, state value) for one observation."""
-    logits, values = _forward(_ArrayOps, params.arrays, stack_observations([obs]))
+    logits, values, _ = _forward(params.arrays, stack_observations([obs]))
     return logits.ravel(), float(values[0, 0])
 
 
-_CHUNK = 512    # graphs per plain-array forward when scoring many states
+_CHUNK = 512    # graphs per forward when scoring many states
 
 
 def state_values(params: GcnnParameters, observations) -> np.ndarray:
     """Value-head outputs for many observations, stacked in chunks."""
     observations = list(observations)
     out = [
-        _forward(_ArrayOps, params.arrays, stack_observations(observations[i:i + _CHUNK]))[1]
+        _forward(params.arrays, stack_observations(observations[i:i + _CHUNK]))[1]
         for i in range(0, len(observations), _CHUNK)
     ]
     return np.concatenate(out).ravel() if out else np.zeros(0)
@@ -240,11 +301,9 @@ def prenormalize(params: GcnnParameters, observations) -> None:
         msg = name.split("_")[0]
         squares, count = 0.0, 0
         for i in range(0, len(observations), _CHUNK):
-            taps: dict = {}
-            _forward(_ArrayOps, params.arrays,
-                     stack_observations(observations[i:i + _CHUNK]), taps)
-            squares += float((taps[msg] ** 2).sum())
-            count += taps[msg].size
+            raw = _forward(params.arrays, stack_observations(observations[i:i + _CHUNK]))[2][msg].raw
+            squares += float((raw ** 2).sum())
+            count += raw.size
         rms = math.sqrt(squares / count) if count else 0.0
         params.arrays[name][:] = 1.0 / rms if rms > 1e-8 else 1.0
 
@@ -292,81 +351,78 @@ def _penalty_weights(values: np.ndarray, returns: np.ndarray, penalty: float) ->
     return np.where(values >= returns, 1.0, penalty)
 
 
-def policy_loss_graph(P: dict[str, ad.Tensor], batch) -> ad.Tensor:
-    """Mean negative log-probability of the expert actions (masked softmax)."""
-    g = stack_observations(obs for obs, _c, _a in batch)
-    cand_idx, cand_graph, action_idx = _labels(g, batch)
-    logits, _ = _forward(ad, P, g)
-    lse = ad.segment_lse(ad.gather_rows(logits, cand_idx), cand_graph, g.num_graphs)
-    nll = ad.sub(lse, ad.gather_rows(logits, action_idx))
-    return ad.mul_const(ad.sum_all(nll), 1.0 / g.num_graphs)
-
-
-def value_loss_graph(
-    P: dict[str, ad.Tensor], batch, returns: np.ndarray, penalty: float, ridge: float
-) -> ad.Tensor:
-    """Asymmetric squared loss: undershooting a return costs `penalty` times
-    more, so the fit is pushed toward an upper envelope of the returns. The
-    indicator is evaluated on the current forward value; exactly at the kink
-    the non-penalized branch is used. The ridge term covers weights only."""
-    g = stack_observations(obs for obs, _c, _a in batch)
-    target = np.asarray(returns, dtype=np.float64).reshape(-1, 1)
-    _, values = _forward(ad, P, g)
-    w = _penalty_weights(values.value, target, penalty)
-    loss = ad.sum_all(ad.mul_const(ad.square(ad.sub(values, ad.const(target))), w))
-    if ridge > 0:
-        reg = ad.add_n([ad.sum_all(ad.square(P[name])) for name in WEIGHT_NAMES])
-        loss = ad.add(loss, ad.mul_const(reg, ridge))
-    return loss
-
-
 def grad(params: GcnnParameters, batch, head: str, **kwargs):
-    """Exact reverse-accumulation gradients for one loss head.
+    """Exact gradients of one loss head, by the hand-written backward.
 
-    head: "policy" for the cross-entropy loss over (obs, cand, action)
-    triples, or "value" for the penalized envelope loss (pass ``returns``,
-    ``penalty``, ``ridge``). The batch runs as one stacked graph. Returns
-    (loss value, gradient dict shaped like the parameters).
+    head: "policy" for the mean negative log-probability of the expert
+    actions under the masked softmax, over (obs, cand, action) triples; or
+    "value" for the envelope loss (pass ``returns``, ``penalty``, ``ridge``):
+    squared errors, undershoots weighted ``penalty`` times more (the
+    indicator is read at the current value; exactly at the kink the
+    non-penalized branch is used), plus ``ridge`` times the squared weights
+    (biases excluded). The batch runs as one stacked graph. Returns (loss
+    value, gradient dict in ``PARAM_NAMES`` order, shaped like the
+    parameters).
     """
-    P = _wrap(params)
-    if head == "policy":
-        loss = policy_loss_graph(P, batch)
-    elif head == "value":
-        loss = value_loss_graph(
-            P, batch, kwargs["returns"], kwargs.get("penalty", 1000.0),
-            kwargs.get("ridge", 0.0),
-        )
-    else:
+    if head not in ("policy", "value"):
         raise ValueError(f"unknown loss head {head!r}")
-    if not np.isfinite(loss.value):
+    batch = list(batch)
+    P = params.arrays
+    g = stack_observations(obs for obs, _c, _a in batch)
+    grads: dict[str, np.ndarray] = {}
+    ridge = 0.0
+    if head == "policy":
+        cand_idx, cand_graph, action_idx = _labels(g, batch)
+        logits, _, acts = _forward(P, g)
+        z = logits[cand_idx].reshape(-1)
+        lse = segment_logsumexp(z, cand_graph, g.num_graphs)
+        nll = lse.reshape(-1, 1) - logits[action_idx]
+        loss = nll.sum() * (1.0 / g.num_graphs)
+        d_nll = np.full_like(nll, 1.0 / g.num_graphs)
+        softmax = np.exp(z - lse[cand_graph]).reshape(-1, 1)
+        d_logits = (segment_sum(softmax * d_nll[cand_graph], cand_idx, logits.shape[0])
+                    + segment_sum(-d_nll, action_idx, logits.shape[0]))
+        grads["pol_w"] = acts["V1"].T @ d_logits
+        grads["pol_b"] = d_logits.sum(axis=0)
+        d_V1 = d_logits @ P["pol_w"].T
+    else:
+        target = np.asarray(kwargs["returns"], dtype=np.float64).reshape(-1, 1)
+        penalty, ridge = kwargs.get("penalty", 1000.0), kwargs.get("ridge", 0.0)
+        _, values, acts = _forward(P, g)
+        diff = values - target
+        w = _penalty_weights(values, target, penalty)
+        loss = (diff**2 * w).sum()
+        if ridge > 0:
+            loss = loss + sum((P[name] ** 2).sum() for name in WEIGHT_NAMES) * ridge
+        d_values = 2.0 * diff * w
+        grads["val_w"] = acts["pooled"].T @ d_values
+        grads["val_b"] = d_values.sum(axis=0)
+        d_V1 = ((d_values @ P["val_w"].T) * g.pool_scale)[g.var_graph]
+    if not np.isfinite(loss):
         raise GcnnError("non-finite loss; lower the learning rate")
-    ad.backward(loss)
-    grads = {}
+    _backward(P, g, acts, d_V1, grads)
+    if ridge > 0:
+        for name in WEIGHT_NAMES:
+            term = 2.0 * P[name] * ridge
+            grads[name] = grads[name] + term if name in grads else term
+    out = {}
     for name in PARAM_NAMES:
-        g = P[name].grad
-        grads[name] = np.zeros_like(params.arrays[name]) if g is None else np.asarray(g)
-        if not np.all(np.isfinite(grads[name])):
+        out[name] = grads.get(name, np.zeros_like(P[name]))
+        if not np.all(np.isfinite(out[name])):
             raise GcnnError(f"non-finite gradient in parameter {name}")
-    return float(loss.value), grads
-
-
-def _wrap(params: GcnnParameters) -> dict:
-    """Trained parameters as tape leaves; the fixed scales stay plain arrays."""
-    P = {name: ad.Tensor(params.arrays[name]) for name in PARAM_NAMES}
-    P.update({name: params.arrays[name] for name in NORM_NAMES})
-    return P
+    return float(loss), out
 
 
 def policy_loss(params: GcnnParameters, batch) -> float:
-    """Loss-only evaluation on plain arrays (no tape)."""
+    """Loss-only evaluation, in chunks of stacked graphs."""
     batch = list(batch)
     total = 0.0
     for i in range(0, len(batch), _CHUNK):
         chunk = batch[i:i + _CHUNK]
         g = stack_observations(obs for obs, _c, _a in chunk)
         cand_idx, cand_graph, action_idx = _labels(g, chunk)
-        z = _forward(_ArrayOps, params.arrays, g)[0].ravel()
-        lse = ad.segment_logsumexp(z[cand_idx], cand_graph, g.num_graphs)
+        z = _forward(params.arrays, g)[0].ravel()
+        lse = segment_logsumexp(z[cand_idx], cand_graph, g.num_graphs)
         total += float((lse - z[action_idx]).sum())
     return total / len(batch)
 
@@ -381,7 +437,11 @@ def value_loss(params: GcnnParameters, batch, returns, penalty: float, ridge: fl
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 10.0) -> float:
-    total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    """Scale the gradients in place to a global norm of at most ``max_norm``;
+    returns the norm before scaling. The squared norms are summed in sorted
+    name order (``PARAM_NAMES`` order), so the result does not depend on the
+    dict's insertion order."""
+    total = math.sqrt(sum(float((grads[name] ** 2).sum()) for name in sorted(grads)))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads.values():
@@ -524,8 +584,6 @@ def train_policy(dataset, config: TrainConfig, out_dir: str | Path,
 
 class GcnnPolicy(BranchingPolicy):
     """Branching policy that plugs trained parameters into the engine."""
-
-    requires_observation = True
 
     def __init__(self, params: GcnnParameters, name: str = "gcnn"):
         self.params = params

@@ -2,12 +2,13 @@
 
 Instances are minimization problems over ``c @ x`` subject to ``A x <= b`` and
 ``l <= x <= u``, where the first ``num_int`` variables are integer-constrained.
-All constraint rows are kept in <= form internally; >= and = rows in input
-files are rewritten at parse time (= becomes two rows).
+Every constraint row is a <= row, in memory and in the instance file format
+(its ``ROW`` lines); the generators store a >= row as its negation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -423,7 +424,7 @@ def generate_with_certificate(spec: InstanceFamilySpec) -> tuple[MilpInstance, n
         raise ValueError(f"unsupported family {spec.family!r}; known: {FAMILIES}")
     if spec.n <= 0 or spec.m <= 0:
         raise ValueError("size parameters must be positive")
-    rng = np.random.default_rng([spec.seed, _stable_key(spec.family)])
+    rng = np.random.default_rng([spec.seed, stable_key(spec.family)])
     return _GENERATORS[spec.family](spec, rng)
 
 
@@ -431,7 +432,7 @@ def generate_instance(spec: InstanceFamilySpec) -> MilpInstance:
     return generate_with_certificate(spec)[0]
 
 
-def _stable_key(text: str) -> int:
-    import hashlib
-
+def stable_key(text: str) -> int:
+    """Stable 64-bit key of a name, for seeding per-family and per-instance
+    rng streams."""
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")

@@ -180,7 +180,6 @@ def hybrid_rule(db: float, config: HybridConfig, r: float) -> str:
 
 class BranchingPolicy:
     name = "policy"
-    requires_observation = False
 
     def reset(self, rctx) -> None:
         """Called once per instance before the first decision."""

@@ -216,3 +216,31 @@ def test_wall_clock_mode_runs():
     res = solve(inst, MostInfeasiblePolicy(), Budget(max_nodes=50, max_clock=30.0, clock_mode="wall"))
     assert res.status in (SolveStatus.OPTIMAL, SolveStatus.BUDGET_EXHAUSTED)
     assert res.clock_used > 0.0
+
+
+def test_child_lp_below_parent_keeps_trace_monotone(monkeypatch):
+    """A child LP may come back slightly below its parent's (within the
+    simplex tolerance). Its node keeps the parent's bound, so the solve
+    finishes and the dual-bound trace never decreases."""
+    import dataclasses
+
+    from branchlab import bnb
+
+    stubbed = []
+
+    class LowChildSolver(bnb.SimplexSolver):
+        def solve(self, overrides=(), warm=None, iter_limit=100_000):
+            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit)
+            if warm is not None and not stubbed and sol.status is bnb.LpStatus.OPTIMAL:
+                sol = dataclasses.replace(sol, objective=warm.objective - 1e-9)
+                stubbed.append(sol)
+            return sol
+
+    monkeypatch.setattr(bnb, "SimplexSolver", LowChildSolver)
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
+    res = solve(inst, MostInfeasiblePolicy(), Budget(max_nodes=10_000), seed=0)
+    x = stubbed[0].x[:inst.num_int]
+    assert np.any(np.abs(x - np.round(x)) > 1e-6), "the stubbed child must be queued"
+    assert res.status is SolveStatus.OPTIMAL
+    bounds = [z for _, z in res.trace.events]
+    assert bounds == sorted(bounds)

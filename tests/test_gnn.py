@@ -247,6 +247,68 @@ def test_gradient_vanishes_at_exact_minimum():
     assert total < 1e-10
 
 
+def test_stacked_gradient_equals_per_state_gradients():
+    """One stacked batch of states of different sizes, one of them without
+    constraint rows, gives the mean of the per-state policy gradients and the
+    sum of the per-state value gradients (ridge 0). This checks the index
+    offsets of the backward's gathers and segment sums."""
+    rng = np.random.default_rng(21)
+    params = gnn.init_params(2)
+    batch = []
+    for n, m in ((3, 1), (7, 4), (5, 2), (9, 5)):
+        obs = random_observation(rng, n=n, m=m)
+        cand = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+        batch.append((obs, cand, int(rng.choice(cand))))
+    empty = BipartiteObservation(
+        rng.uniform(-1, 1, (4, VAR_FEATURES)), np.zeros((0, CONS_FEATURES)),
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+    )
+    batch.insert(2, (empty, (0, 1, 3), 3))
+    returns = rng.uniform(-2.0, 2.0, len(batch))
+
+    def close(stacked, expected):
+        # relative to the largest entry: some entries (the policy loss's
+        # gradient in biases that shift every logit) are zero up to rounding
+        scale = max(float(np.abs(g).max()) for g in expected.values())
+        for name in gnn.PARAM_NAMES:
+            assert float(np.abs(stacked[name] - expected[name]).max()) <= 1e-12 * scale, name
+
+    _, stacked = gnn.grad(params, batch, "policy")
+    singles = [gnn.grad(params, [s], "policy")[1] for s in batch]
+    close(stacked, {k: sum(g[k] for g in singles) / len(batch) for k in gnn.PARAM_NAMES})
+
+    kwargs = dict(penalty=1000.0, ridge=0.0)
+    _, stacked = gnn.grad(params, batch, "value", returns=returns, **kwargs)
+    singles = [gnn.grad(params, [s], "value", returns=returns[i:i + 1], **kwargs)[1]
+               for i, s in enumerate(batch)]
+    close(stacked, {k: sum(g[k] for g in singles) for k in gnn.PARAM_NAMES})
+
+
+def test_clip_gradients_independent_of_dict_order():
+    """Shuffling the gradient dict's insertion order clips to bitwise the
+    same arrays, on data where the order of the norm's sum matters."""
+    states = collect_states(count=3)
+    _, grads = gnn.grad(gnn.init_params(5), states, "value",
+                        returns=np.full(3, 50.0), penalty=1000.0, ridge=1e-3)
+    rng = np.random.default_rng(0)
+    orders = [list(gnn.PARAM_NAMES)] + [
+        [gnn.PARAM_NAMES[i] for i in rng.permutation(len(gnn.PARAM_NAMES))] for _ in range(20)
+    ]
+    sums = {sum(float((grads[k] ** 2).sum()) for k in order) for order in orders}
+    assert len(sums) > 1
+    clipped = []
+    for order in orders:
+        g = {k: grads[k].copy() for k in order}
+        norm = gnn.clip_gradients(g, max_norm=1.0)
+        assert norm > 1.0
+        clipped.append((norm, g))
+    norm0, g0 = clipped[0]
+    for norm, g in clipped[1:]:
+        assert norm == norm0
+        for k in gnn.PARAM_NAMES:
+            assert g[k].tobytes() == g0[k].tobytes(), k
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(42)
     params = gnn.init_params(7)
