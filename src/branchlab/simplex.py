@@ -6,6 +6,14 @@ Phase 1 appends artificial columns for rows whose slack starts negative; a
 warm start from a parent basis with a single out-of-bound basic variable is
 repaired in place, which is exactly the case produced by tightening one bound
 when branching.
+
+Each pivot prices and updates the basis inverse with whole-array numpy
+operations, but scans the rows for the leaving variable (``_ratio_test``) on
+plain Python floats taken once per pivot with ``tolist()``. The scan's tie
+rules are sequential, so it stays a loop: on numpy scalars each row would cost
+several boxed scalar operations, and a vectorized scan is slower on the 3-row
+LPs that dominate branch-and-bound, where numpy's per-call cost outweighs the
+loop. Python floats follow the same IEEE arithmetic as numpy's float64.
 """
 
 from __future__ import annotations
@@ -183,17 +191,8 @@ class SimplexSolver:
     def _solve_cold(self, lb, ub, iter_limit) -> LpSolution:
         n, m = self.n, self.m
         N = n + m
-        stat = np.empty(N, dtype=np.int8)
-        x = np.zeros(N)
-        for j in range(n):
-            if np.isfinite(lb[j]):
-                stat[j], x[j] = _AT_LOWER, lb[j]
-            elif np.isfinite(ub[j]):
-                stat[j], x[j] = _AT_UPPER, ub[j]
-            else:
-                stat[j], x[j] = _FREE, 0.0
-        stat[n:] = _BASIC
         basis = np.arange(n, N, dtype=np.int64)
+        stat, x = _nonbasic_start(lb, ub, basis, ())
         slack = self.b - self.W[:, :n] @ x[:n]
         x[n:] = slack
 
@@ -251,22 +250,7 @@ class SimplexSolver:
         basis = np.array(warm.basis, dtype=np.int64)
         if len(np.unique(basis)) != m or basis.min() < 0 or basis.max() >= N:
             return None
-        stat = np.full(N, _AT_LOWER, dtype=np.int8)
-        x = np.zeros(N)
-        in_basis = np.zeros(N, dtype=bool)
-        in_basis[basis] = True
-        for j in range(N):
-            if in_basis[j]:
-                stat[j] = _BASIC
-                continue
-            if j in warm.at_upper and np.isfinite(ub[j]):
-                stat[j], x[j] = _AT_UPPER, ub[j]
-            elif np.isfinite(lb[j]):
-                stat[j], x[j] = _AT_LOWER, lb[j]
-            elif np.isfinite(ub[j]):
-                stat[j], x[j] = _AT_UPPER, ub[j]
-            else:
-                stat[j], x[j] = _FREE, 0.0
+        stat, x = _nonbasic_start(lb, ub, basis, warm.at_upper)
         try:
             Binv = np.linalg.inv(self.W[:, basis])
         except np.linalg.LinAlgError:
@@ -343,19 +327,12 @@ class SimplexSolver:
             raise NumericalInstabilityError("basis matrix is singular") from None
         self._set_basic_values(state)
 
-    def _residual(self, state) -> float:
-        nonbasic = state.stat != _BASIC
-        rhs = state.b - state.W[:, nonbasic] @ state.x[nonbasic]
-        lhs = state.W[:, state.basis] @ state.x[state.basis]
-        return float(np.abs(lhs - rhs).max(initial=0.0))
-
     def _iterate(self, cost, state, iter_limit, stop_var=None) -> LpStatus:
         """Run primal pivots for the given cost vector until done.
 
         Dantzig pricing by default; Bland's rule engages after 3(n+m) stalled
         iterations and guarantees termination on degenerate problems.
         """
-        m = self.m
         bland = False
         stall = 0
         stall_limit = 3 * (self.n + self.m)
@@ -385,67 +362,39 @@ class SimplexSolver:
 
             col = state.Binv @ state.W[:, e]
             step = direction * col          # basic values move by -t * step
-
-            own = state.ub[e] - state.lb[e]
-            t_best = own if np.isfinite(own) else math.inf
-            leave_row = -1
-            for i in range(m):
-                ci = step[i]
-                bi = state.basis[i]
-                if ci > _PIVOT_TOL:
-                    lo = state.lb[bi]
-                    if not np.isfinite(lo):
-                        continue
-                    t_i = max(state.x[bi] - lo, 0.0) / ci
-                elif ci < -_PIVOT_TOL:
-                    hi = state.ub[bi]
-                    if not np.isfinite(hi):
-                        continue
-                    t_i = max(hi - state.x[bi], 0.0) / (-ci)
-                else:
-                    continue
-                if t_i < t_best - 1e-12:
-                    t_best, leave_row = t_i, i
-                elif leave_row >= 0 and t_i <= t_best + 1e-12:
-                    # tie-break: Bland by lowest variable index, default by
-                    # largest pivot magnitude for stability
-                    if bland:
-                        if bi < state.basis[leave_row]:
-                            leave_row = i
-                    elif abs(ci) > abs(step[leave_row]):
-                        leave_row = i
-
-            if not np.isfinite(t_best):
+            basis = state.basis
+            t_best, leave_row = _ratio_test(
+                basis.tolist(), state.x[basis].tolist(), state.lb[basis].tolist(),
+                state.ub[basis].tolist(), step.tolist(),
+                float(state.ub[e] - state.lb[e]), bland,
+            )
+            if not math.isfinite(t_best):
                 return LpStatus.UNBOUNDED
 
             state.x[e] += direction * t_best
-            state.x[state.basis] -= t_best * step
+            state.x[basis] -= t_best * step
             if leave_row < 0:
                 state.stat[e] = _AT_UPPER if state.stat[e] == _AT_LOWER else _AT_LOWER
                 state.x[e] = state.ub[e] if state.stat[e] == _AT_UPPER else state.lb[e]
             else:
-                lv = int(state.basis[leave_row])
+                lv = int(basis[leave_row])
                 if step[leave_row] > 0:
                     state.stat[lv] = _AT_LOWER
                     state.x[lv] = state.lb[lv]
                 else:
                     state.stat[lv] = _AT_UPPER
                     state.x[lv] = state.ub[lv]
-                state.basis[leave_row] = e
+                basis[leave_row] = e
                 state.stat[e] = _BASIC
-                piv = col[leave_row]
-                if abs(piv) < _PIVOT_TOL:
-                    self._refactor(state)
-                else:
-                    state.Binv[leave_row, :] /= piv
-                    others = np.arange(m) != leave_row
-                    state.Binv[others, :] -= np.outer(
-                        col[others], state.Binv[leave_row, :]
-                    )
+                # |col[leave_row]| > _PIVOT_TOL: the ratio test skips smaller entries
+                prow = state.Binv[leave_row] / col[leave_row]
+                state.Binv -= np.outer(col, prow)
+                state.Binv[leave_row] = prow
                 state.pivots += 1
+                # W x = b holds exactly in real arithmetic; refactor on drift
                 if (
                     state.pivots % _REFACTOR_EVERY == 0
-                    or self._residual(state) > _DRIFT_TOL * self._bscale
+                    or np.abs(state.W @ state.x - state.b).max() > _DRIFT_TOL * self._bscale
                 ):
                     self._refactor(state)
 
@@ -480,12 +429,10 @@ class SimplexSolver:
         obj = float(self.inst.objective @ x)
         y = cost[state.basis] @ state.Binv
         reduced = self.cost[:n] - y @ self.W[:, :n]
-        at_upper = frozenset(
-            int(j) for j in range(n + m) if state.stat[j] == _AT_UPPER
-        )
+        at_upper = frozenset(np.flatnonzero(state.stat[: n + m] == _AT_UPPER).tolist())
         return LpSolution(
             LpStatus.OPTIMAL, x, obj,
-            tuple(int(v) for v in state.basis), state.iters,
+            tuple(state.basis.tolist()), state.iters,
             duals=y.copy(), reduced_costs=reduced, at_upper=at_upper,
         )
 
@@ -498,3 +445,68 @@ class SimplexSolver:
         if m == 0:
             return True
         return not np.any(self.W[:, :n] @ x[:n] > self.b + tol)
+
+
+def _nonbasic_start(lb, ub, basis, at_upper):
+    """Statuses and values of a starting point with the given basis.
+
+    A nonbasic variable sits at its upper bound if it is in ``at_upper`` (a
+    parent solution's nonbasic-at-upper set) and that bound is finite,
+    otherwise at its finite lower bound, otherwise at its finite upper bound,
+    otherwise free at 0. Basic values are left at 0 for the caller to compute.
+    """
+    in_basis = np.zeros(len(lb), dtype=bool)
+    in_basis[basis] = True
+    prefer_upper = np.zeros(len(lb), dtype=bool)
+    prefer_upper[list(at_upper)] = True
+    fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
+    upper = ~in_basis & fin_ub & (prefer_upper | ~fin_lb)
+    lower = ~in_basis & fin_lb & ~upper
+    stat = np.full(len(lb), _FREE, dtype=np.int8)
+    stat[in_basis] = _BASIC
+    stat[lower] = _AT_LOWER
+    stat[upper] = _AT_UPPER
+    x = np.zeros(len(lb))
+    x[lower] = lb[lower]
+    x[upper] = ub[upper]
+    return stat, x
+
+
+def _ratio_test(basis, xb, lbb, ubb, step, own, bland) -> tuple[float, int]:
+    """The step length and leaving row of one pivot.
+
+    Row i's basic variable ``basis[i]`` (value ``xb[i]`` in ``[lbb[i],
+    ubb[i]]``) moves by ``-t * step[i]``; ``own`` is the entering variable's
+    bound-flip length. A row wins by a strict improvement of more than 1e-12;
+    within 1e-12 of the best, Bland's rule keeps the lowest variable index and
+    the default keeps the largest ``|step|`` for stability. Returns
+    ``leave_row = -1`` for a bound flip, and an infinite step if unbounded.
+    All arguments are plain Python floats and lists.
+    """
+    isfinite = math.isfinite
+    t_best = own if isfinite(own) else math.inf
+    leave_row = -1
+    for i, ci in enumerate(step):
+        if ci > _PIVOT_TOL:
+            lo = lbb[i]
+            if not isfinite(lo):
+                continue
+            room = xb[i] - lo
+        elif ci < -_PIVOT_TOL:
+            hi = ubb[i]
+            if not isfinite(hi):
+                continue
+            room, ci = hi - xb[i], -ci
+        else:
+            continue
+        # max(room, 0.0) without the call: keeps -0.0 and NaN as max() does
+        t_i = (0.0 if room < 0.0 else room) / ci
+        if t_i < t_best - 1e-12:
+            t_best, leave_row = t_i, i
+        elif leave_row >= 0 and t_i <= t_best + 1e-12:
+            if bland:
+                if basis[i] < basis[leave_row]:
+                    leave_row = i
+            elif abs(ci) > abs(step[leave_row]):
+                leave_row = i
+    return t_best, leave_row

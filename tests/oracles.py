@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own solver paths: LP optima come from
 dense vertex enumeration, MILP optima from exhaustive enumeration of binary
-assignments, and statistical claims from an exact binomial tail.
+assignments, the simplex ratio test from a plain numpy-scalar loop, and
+statistical claims from an exact binomial tail.
 """
 
 from __future__ import annotations
@@ -46,6 +47,46 @@ def lp_vertex_optimum(c, A, b, l, u, tol=1e-9):
             if best is None or v < best:
                 best = v
     return best
+
+
+def ratio_test_reference(step, basis, x, lb, ub, own, bland, pivot_tol):
+    """The simplex ratio test as a loop over numpy scalars.
+
+    Row i's basic variable ``basis[i]`` moves by ``-t * step[i]``; ``x``,
+    ``lb`` and ``ub`` are indexed by variable, and ``own`` is the entering
+    variable's bound-flip length. Returns ``(t_best, leave_row)``, with
+    ``leave_row = -1`` for a bound flip. This is the solver's original scan,
+    kept as the reference for its plain-float rewrite.
+    """
+    m = len(basis)
+    t_best = own if np.isfinite(own) else math.inf
+    leave_row = -1
+    for i in range(m):
+        ci = step[i]
+        bi = basis[i]
+        if ci > pivot_tol:
+            lo = lb[bi]
+            if not np.isfinite(lo):
+                continue
+            t_i = max(x[bi] - lo, 0.0) / ci
+        elif ci < -pivot_tol:
+            hi = ub[bi]
+            if not np.isfinite(hi):
+                continue
+            t_i = max(hi - x[bi], 0.0) / (-ci)
+        else:
+            continue
+        if t_i < t_best - 1e-12:
+            t_best, leave_row = t_i, i
+        elif leave_row >= 0 and t_i <= t_best + 1e-12:
+            # tie-break: Bland by lowest variable index, default by
+            # largest pivot magnitude for stability
+            if bland:
+                if bi < basis[leave_row]:
+                    leave_row = i
+            elif abs(ci) > abs(step[leave_row]):
+                leave_row = i
+    return t_best, leave_row
 
 
 def brute_force_binary(inst, tol=1e-9):

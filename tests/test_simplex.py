@@ -1,15 +1,20 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 
 from branchlab.instances import InstanceFamilySpec, generate_instance, lp_relaxation
 from branchlab.simplex import (
+    _PIVOT_TOL,
     BoundOverride,
     LpStatus,
     SimplexSolver,
+    _ratio_test,
 )
 
 from .conftest import make_instance
-from .oracles import lp_vertex_optimum
+from .oracles import lp_vertex_optimum, ratio_test_reference
 
 
 def test_box_lp():
@@ -171,3 +176,121 @@ def test_random_lps_match_vertex_enumeration():
             assert sol.status is LpStatus.OPTIMAL
             assert abs(sol.objective - expected) < 1e-7
         checked += 1
+
+
+def _ratio_case(rng):
+    """A random ratio-test input: (step, basis, x, lb, ub, own) as numpy values.
+
+    Rooms and steps come from small pools so that exact ties, ties within
+    1e-12 and ratios exactly 1e-12 apart are common; steps include entries at
+    and just around the pivot tolerance and signed zeros; bounds include
+    +-inf on either side; slacks include 0.0, -0.0 and small negatives (a
+    basic value just outside its bound).
+    """
+    m = int(rng.integers(1, 9))
+    N = m + int(rng.integers(0, 5))
+    basis = rng.permutation(N)[:m].astype(np.int64)
+    rooms = [0.0, -1e-9, 0.5, 1.0, 2.0, 3.0, 1.0 + 3e-13, 1.0 - 7e-13,
+             1.0 + 1e-12, 1.0 - 1e-12, 2.0 + 1.5e-12]
+    near_ties = rng.random() < 0.25      # every ratio within 1e-12 of 1
+    if near_ties:
+        rooms = [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 3e-13]
+    lb = rng.choice([0.0, -1.0, 2.5, -np.inf, np.inf], N, p=[0.3, 0.3, 0.23, 0.15, 0.02])
+    x = np.where(np.isfinite(lb), lb, 0.0) + rng.choice(rooms, N)
+    ub = x + rng.choice(rooms, N)
+    ub[rng.random(N) < 0.15] = np.inf
+    ub[rng.random(N) < 0.02] = -np.inf
+    for v in range(N):
+        u = rng.random()
+        if u < 0.1:         # x - lb = -0.0
+            lb[v], x[v] = 0.0, -0.0
+        elif u < 0.2:       # ub - x = -0.0
+            x[v], ub[v] = 0.0, -0.0
+    tol = _PIVOT_TOL
+    steps = [tol, -tol, np.nextafter(tol, 0), -np.nextafter(tol, 0),
+             np.nextafter(tol, 1), -np.nextafter(tol, 1), 0.0, -0.0,
+             0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0]
+    step = rng.choice([1.0, -1.0] if near_ties else steps, m)
+    noisy = rng.random(m) < (0.0 if near_ties else 0.2)
+    step[noisy] = rng.normal(0, 2, int(noisy.sum()))
+    own = np.float64(rng.choice([np.inf, 0.0, 0.5, 1.0, 2.0, 1.0 + 5e-13, 7.0]))
+    return step, basis, x, lb, ub, own
+
+
+def test_ratio_test_matches_numpy_scalar_reference():
+    """The plain-float ratio test picks the same row and the same step, to the
+    bit, as the numpy-scalar loop it replaced, under both tie rules."""
+    rng = np.random.default_rng(4)
+    seen = collections.Counter()
+    for _ in range(4000):
+        step, basis, x, lb, ub, own = _ratio_case(rng)
+        picks = {}
+        for bland in (False, True):
+            want = ratio_test_reference(step, basis, x, lb, ub, own, bland, _PIVOT_TOL)
+            got = _ratio_test(
+                basis.tolist(), x[basis].tolist(), lb[basis].tolist(),
+                ub[basis].tolist(), step.tolist(), float(own), bland,
+            )
+            assert got[1] == want[1]
+            assert got[0] == want[0]
+            assert float(got[0]).hex() == float(want[0]).hex()   # -0.0 kept too
+            picks[bland] = got[1]
+        t, row = got
+        seen["unbounded" if math.isinf(t) else "flip" if row < 0 else "pivot"] += 1
+        seen["negative zero step"] += t == 0.0 and math.copysign(1.0, t) < 0
+        seen["tie rules disagree"] += picks[False] != picks[True]
+    assert min(seen[k] for k in (
+        "unbounded", "flip", "pivot", "negative zero step", "tie rules disagree"
+    )) >= 20, seen
+
+
+def test_warm_children_match_cold_and_vertex_enumeration():
+    """Both children of a fractional variable, warm-started from the parent,
+    on random LPs with degenerate rows (b = 0), tied costs, general-integer
+    boxes and some infinite upper bounds: each agrees with a cold solve, and
+    with vertex enumeration wherever the child's box is finite."""
+    rng = np.random.default_rng(11)
+    counts = collections.Counter()
+    for k in range(1000):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 5))
+        A = np.round(rng.normal(0.5, 2, (m, n)), 2)
+        A[rng.random((m, n)) < 0.25] = 0.0
+        b = np.round(rng.uniform(-1, 6, m), 2)
+        b[rng.random(m) < 0.35] = 0.0
+        c = rng.integers(-3, 2, n).astype(float)      # few distinct costs: ties
+        lo = rng.integers(0, 2, n).astype(float)
+        up = lo + rng.integers(1, 6, n)
+        up[rng.random(n) < 0.2] = np.inf
+        inst = make_instance(f"w{k}", c, A, b, lo, up, n)
+        solver = SimplexSolver(inst)
+        parent = solver.solve()
+        if parent.status is not LpStatus.OPTIMAL:
+            continue
+        frac = [j for j in range(n) if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
+        if not frac:
+            continue
+        j = frac[int(rng.integers(len(frac)))]
+        xj = float(parent.x[j])
+        for ov in (BoundOverride(j, "upper", math.floor(xj)),
+                   BoundOverride(j, "lower", math.ceil(xj))):
+            warm = solver.solve((ov,), warm=parent)
+            cold = solver.solve((ov,))
+            assert warm.status is cold.status, (k, ov)
+            counts[warm.status] += 1
+            if warm.status is LpStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+                assert np.all(A @ warm.x <= b + 1e-7)
+            child_lo, child_up = lo.copy(), up.copy()
+            (child_up if ov.side == "upper" else child_lo)[j] = ov.value
+            if np.all(np.isfinite(child_up)):
+                expected = lp_vertex_optimum(c, A, b, child_lo, child_up)
+                counts["enumerated"] += 1
+                if expected is None:
+                    assert warm.status is LpStatus.INFEASIBLE, (k, ov)
+                else:
+                    assert warm.status is LpStatus.OPTIMAL, (k, ov)
+                    assert warm.objective == pytest.approx(expected, abs=1e-7)
+    assert counts[LpStatus.OPTIMAL] >= 250, counts
+    assert counts[LpStatus.INFEASIBLE] >= 150, counts
+    assert counts["enumerated"] >= 250, counts
