@@ -6,6 +6,11 @@ the engine performs (node solves, strong-branching probes, dive estimates),
 so identical inputs give identical traces regardless of machine. A wall-clock
 mode exists for reporting but is not reproducible.
 
+A child LP is solved once. When the policy probed the variable it branches on
+(strong branching probes every candidate), the node's two children are the
+probed LPs: they pass the same checks as a fresh solve and are not solved, or
+counted on the clock, again.
+
 The dual-bound trace holds (clock, best dual bound) events; the dual integral
 is the area between the optimum and the bound curve over the horizon and is 0
 when the instance is solved at the root. Per-decision rewards are the bound
@@ -226,6 +231,7 @@ class NodeContext:
         self.pseudocosts = engine.pc
         self.rng = engine.rng
         self.dual_bound = engine.current_bound()
+        self.probed: dict[int, tuple[LpSolution, LpSolution]] = {}
         self._obs = None
 
     @property
@@ -235,7 +241,10 @@ class NodeContext:
         return self._obs
 
     def probe(self, j: int) -> tuple[LpSolution, LpSolution]:
-        return self._engine.probe(self.node, j)
+        """The (down, up) children of branching on candidate j, solved warm
+        from this node's LP; kept so that branching on j reuses them."""
+        self.probed[j] = self._engine.probe(self.node, j)
+        return self.probed[j]
 
 
 class _Engine:
@@ -274,11 +283,7 @@ class _Engine:
     def _solve_lp(self, overrides, warm) -> LpSolution:
         sol = self.solver.solve(overrides, warm=warm, iter_limit=self.lp_iter_limit)
         self.iterations += sol.iterations
-        if sol.status is LpStatus.ITERATION_LIMIT:
-            raise NumericalInstabilityError("node LP hit the iteration limit")
-        if sol.status is LpStatus.UNBOUNDED:
-            raise ValueError("relaxation is unbounded; instance violates preconditions")
-        return sol
+        return _checked(sol)
 
     def probe(self, node: BnbNode, j: int) -> tuple[LpSolution, LpSolution]:
         down, up = self.solver.probe_children(
@@ -320,12 +325,17 @@ class _Engine:
             self.incumbent = x
             self.incumbent_value = value
 
-    def _add_child(self, parent: BnbNode, override: BoundOverride) -> None:
-        """Solve one child and queue it. A child LP may come back a little
-        below its parent's (within ``FEAS_TOL``); the child's bound, which
-        keys the heap and so the dual-bound trace, is then the parent's, so
-        the trace never decreases. Pseudocosts see the raw LP objectives."""
-        lp = self._solve_lp(parent.overrides + (override,), warm=parent.lp)
+    def _add_child(self, parent: BnbNode, override: BoundOverride,
+                   probed: LpSolution | None = None) -> None:
+        """Solve one child, or take its probed LP, and queue it. A child LP
+        may come back a little below its parent's (within ``FEAS_TOL``); the
+        child's bound, which keys the heap and so the dual-bound trace, is
+        then the parent's, so the trace never decreases. Pseudocosts see the
+        raw LP objectives."""
+        if probed is None:
+            lp = self._solve_lp(parent.overrides + (override,), warm=parent.lp)
+        else:
+            lp = _checked(probed)
         if lp.status is LpStatus.INFEASIBLE:
             return
         if lp.objective < parent.lp.objective - FEAS_TOL * (1 + abs(parent.lp.objective)):
@@ -440,8 +450,9 @@ class _Engine:
                 }
             )
         xj = float(node.lp.x[action])
-        self._add_child(node, BoundOverride(action, "upper", math.floor(xj)))
-        self._add_child(node, BoundOverride(action, "lower", math.ceil(xj)))
+        down, up = ctx.probed.get(action, (None, None))
+        self._add_child(node, BoundOverride(action, "upper", math.floor(xj)), down)
+        self._add_child(node, BoundOverride(action, "lower", math.ceil(xj)), up)
 
     def _finish(self, status: SolveStatus) -> SolveResult:
         end_clock = self.clock()
@@ -503,6 +514,15 @@ class _Engine:
             lp_iterations=self.iterations,
             reward_constant=constant,
         )
+
+
+def _checked(sol: LpSolution) -> LpSolution:
+    """A node or child LP, or the error its status calls for."""
+    if sol.status is LpStatus.ITERATION_LIMIT:
+        raise NumericalInstabilityError("node LP hit the iteration limit")
+    if sol.status is LpStatus.UNBOUNDED:
+        raise ValueError("relaxation is unbounded; instance violates preconditions")
+    return sol
 
 
 def solve(

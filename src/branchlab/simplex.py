@@ -7,6 +7,15 @@ warm start from a parent basis with a single out-of-bound basic variable is
 repaired in place, which is exactly the case produced by tightening one bound
 when branching.
 
+A warm start factorizes its basis with one ``np.linalg.inv`` of
+``W[:, basis]``. The solver keeps the last such inverse with its basis and
+hands out a copy (the pivots update the inverse in place) when the next warm
+start has the same basis, as a node's probes, or its two children, do. The copy
+equals the inverse that call would have computed, bit for bit: it is the same
+LAPACK call on the same matrix. One entry bounds the memory to one m x m
+array, where an inverse kept on every solution would multiply it by the open
+nodes.
+
 Each pivot prices and updates the basis inverse with whole-array numpy
 operations, but scans the rows for the leaving variable (``_ratio_test``) on
 plain Python floats taken once per pivot with ``tolist()``. The scan's tie
@@ -122,6 +131,8 @@ class SimplexSolver:
         self.ub0 = np.concatenate([inst.upper, np.full(self.m, math.inf)])
         self.b = inst.rhs.copy()
         self._bscale = 1.0 + (float(np.abs(self.b).max()) if self.m else 0.0)
+        self._warm_basis: tuple[int, ...] | None = None    # last warm basis ...
+        self._warm_inv: np.ndarray | None = None           # ... and its inverse
 
     # -- public API ----------------------------------------------------------
 
@@ -251,10 +262,13 @@ class SimplexSolver:
         if len(np.unique(basis)) != m or basis.min() < 0 or basis.max() >= N:
             return None
         stat, x = _nonbasic_start(lb, ub, basis, warm.at_upper)
-        try:
-            Binv = np.linalg.inv(self.W[:, basis])
-        except np.linalg.LinAlgError:
-            return None
+        if warm.basis != self._warm_basis:
+            try:
+                inv = np.linalg.inv(self.W[:, basis])
+            except np.linalg.LinAlgError:
+                return None
+            self._warm_basis, self._warm_inv = warm.basis, inv
+        Binv = self._warm_inv.copy()
         state = _State(self.W, self.b, lb, ub, basis, stat, x, Binv)
         self._set_basic_values(state)
 

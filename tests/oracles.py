@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own solver paths: LP optima come from
 dense vertex enumeration, MILP optima from exhaustive enumeration of binary
-assignments, the simplex ratio test from a plain numpy-scalar loop, and
+assignments or of small integer boxes, the simplex ratio test from a plain numpy-scalar loop, and
 statistical claims from an exact binomial tail.
 """
 
@@ -101,6 +101,30 @@ def brute_force_binary(inst, tol=1e-9):
     ok = np.all(X >= inst.lower - tol, axis=1) & np.all(X <= inst.upper + tol, axis=1)
     if inst.num_cons:
         ok &= np.all(X @ A.T <= inst.rhs + tol, axis=1)
+    if not ok.any():
+        return None, None
+    vals = X[ok] @ inst.objective
+    k = int(np.argmin(vals))
+    return float(vals[k]), X[ok][k]
+
+
+def brute_force_integer(inst, max_points=100_000, tol=1e-9):
+    """Exact optimum of a pure integer instance with finite bounds by
+    enumerating every integer point of its box.
+
+    Returns (value, point) or (None, None) when no point is feasible.
+    """
+    n = inst.num_vars
+    assert inst.num_int == n, "oracle only handles pure integer instances"
+    lo, up = np.ceil(inst.lower - tol), np.floor(inst.upper + tol)
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(up)), "box must be finite"
+    sizes = np.maximum(up - lo + 1, 0).astype(int)
+    assert int(np.prod(sizes)) <= max_points, "box too large to enumerate"
+    X = np.array(list(itertools.product(*(np.arange(a, b + 1) for a, b in zip(lo, up)))),
+                 dtype=float).reshape(-1, n)
+    ok = np.ones(len(X), dtype=bool)
+    if inst.num_cons:
+        ok &= np.all(X @ inst.dense_matrix().T <= inst.rhs + tol, axis=1)
     if not ok.any():
         return None, None
     vals = X[ok] @ inst.objective

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,17 @@ from branchlab.bnb import (
     solve_result_to_json,
 )
 from branchlab.instances import InstanceFamilySpec, generate_instance
-from branchlab.rules import STANDARD_POLICIES, BranchingPolicy, MostInfeasiblePolicy
+from branchlab.rules import (
+    STANDARD_POLICIES,
+    BranchingPolicy,
+    MostInfeasiblePolicy,
+    StrongBranchingPolicy,
+)
+from branchlab.simplex import LpStatus, NumericalInstabilityError
 from branchlab.trajectories import validate_chain
 
 from .conftest import make_instance
-from .oracles import brute_force_binary
+from .oracles import brute_force_binary, brute_force_integer
 
 
 def _trace(events, horizon, opt):
@@ -244,3 +251,177 @@ def test_child_lp_below_parent_keeps_trace_monotone(monkeypatch):
     assert res.status is SolveStatus.OPTIMAL
     bounds = [z for _, z in res.trace.events]
     assert bounds == sorted(bounds)
+
+
+# -- probed children -------------------------------------------------------------
+
+class _UnrecordedProbes:
+    """A node context whose probes call the engine's probe directly (the
+    solver's ``probe_children``, clock and pseudocost update), so the context
+    records nothing and branching solves both children again."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def probe(self, j):
+        return self._ctx._engine.probe(self._ctx.node, j)
+
+
+class ResolvingStrongBranching(StrongBranchingPolicy):
+    """Strong branching's scores and choices, with the chosen children
+    solved a second time, as the engine once did."""
+
+    def select(self, ctx):
+        return super().select(_UnrecordedProbes(ctx))
+
+
+def _sample_instances():
+    for fam in ("multi-knapsack", "set-cover", "item-placement-like"):
+        for seed in range(3):
+            yield generate_instance(InstanceFamilySpec(fam, n=12, m=4, seed=seed))
+
+
+def _recording_solver(monkeypatch, calls):
+    """Make the engine's solver log (overrides, warm, iterations) per solve."""
+    from branchlab import bnb
+
+    class RecordingSolver(bnb.SimplexSolver):
+        def solve(self, overrides=(), warm=None, iter_limit=100_000):
+            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit)
+            calls.append((tuple(overrides), warm, sol.iterations))
+            return sol
+
+    monkeypatch.setattr(bnb, "SimplexSolver", RecordingSolver)
+
+
+def test_strong_branching_solves_each_child_once(monkeypatch):
+    """No LP is solved twice from the same warm solution with the same
+    overrides, and the pseudo-clock counts exactly the solves made."""
+    repeated_before = 0
+    for inst in _sample_instances():
+        for policy, reuse in ((StrongBranchingPolicy(), True),
+                              (ResolvingStrongBranching(), False)):
+            calls = []
+            _recording_solver(monkeypatch, calls)
+            res = solve(inst, policy, Budget(max_nodes=10_000), seed=3)
+            assert res.status is SolveStatus.OPTIMAL, inst.name
+            assert res.lp_iterations == sum(it for _, _, it in calls), inst.name
+            # the logged warm solutions stay alive, so their ids are unique
+            keys = [(ov, id(warm)) for ov, warm, _ in calls]
+            if reuse:
+                assert len(set(keys)) == len(keys), inst.name
+            else:
+                repeated_before += len(keys) - len(set(keys))
+    assert repeated_before > 0, "the reference must re-solve probed children"
+
+
+def test_reused_children_keep_the_tree():
+    """Against strong branching that re-solves its chosen children: the same
+    status, incumbent, node count, decisions, observations (so pseudocosts)
+    and bound values, with every clock stamp no later."""
+    earlier = 0
+    for inst in _sample_instances():
+        new = solve(inst, StrongBranchingPolicy(), Budget(max_nodes=10_000), seed=3)
+        ref = solve(inst, ResolvingStrongBranching(), Budget(max_nodes=10_000), seed=3)
+        assert new.status is ref.status, inst.name
+        assert new.incumbent_value == ref.incumbent_value, inst.name
+        assert np.array_equal(new.incumbent, ref.incumbent), inst.name
+        assert new.nodes_processed == ref.nodes_processed, inst.name
+        assert [z for _, z in new.trace.events] == [z for _, z in ref.trace.events]
+        assert all(a <= b for (a, _), (b, _) in zip(new.trace.events, ref.trace.events))
+        assert new.clock_used <= ref.clock_used
+        decisions = [(t.digest(), t.cand, t.action) for t in new.episode.transitions]
+        assert decisions == [(t.digest(), t.cand, t.action) for t in ref.episode.transitions]
+        assert all(a.clock <= b.clock for a, b in
+                   zip(new.episode.transitions, ref.episode.transitions))
+        earlier += new.clock_used < ref.clock_used
+    assert earlier >= 5, earlier
+
+
+class ProbeFirst(BranchingPolicy):
+    """Probe the lowest candidate and branch on it."""
+
+    name = "probe-first"
+
+    def select(self, ctx):
+        j = min(ctx.candidates)
+        ctx.probe(j)
+        return j
+
+
+def _stub_probes(monkeypatch, change):
+    from branchlab import bnb
+
+    class StubbedSolver(bnb.SimplexSolver):
+        def probe_children(self, overrides, parent, j, iter_limit=100_000):
+            down, up = super().probe_children(overrides, parent, j, iter_limit=iter_limit)
+            return change(parent, down), change(parent, up)
+
+    monkeypatch.setattr(bnb, "SimplexSolver", StubbedSolver)
+
+
+def test_probed_child_at_iteration_limit_raises(monkeypatch):
+    _stub_probes(monkeypatch, lambda parent, child: dataclasses.replace(
+        child, status=LpStatus.ITERATION_LIMIT, x=None))
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
+    with pytest.raises(NumericalInstabilityError, match="iteration limit"):
+        solve(inst, ProbeFirst(), Budget(max_nodes=100), seed=0)
+
+
+def test_probed_child_beating_parent_raises(monkeypatch):
+    def beat(parent, child):
+        if child.status is not LpStatus.OPTIMAL:
+            return child
+        gap = 1e-3 * (1 + abs(parent.objective))
+        return dataclasses.replace(child, objective=parent.objective - gap)
+
+    _stub_probes(monkeypatch, beat)
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
+    with pytest.raises(NumericalInstabilityError, match="beats parent"):
+        solve(inst, ProbeFirst(), Budget(max_nodes=100), seed=0)
+
+
+# -- general integers --------------------------------------------------------------
+
+def _general_integer_instances(count, seed):
+    """Pure integer instances with boxes [0 or 1, up to 4]: mixed-sign rows,
+    nonnegative capacity rows and a few rows that cut everything off."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 6))
+        m = int(rng.integers(1, 4))
+        lo = rng.integers(0, 2, n).astype(float)
+        up = np.minimum(lo + rng.integers(1, 4, n), 4.0)
+        A = rng.integers(-2, 6, (m, n)).astype(float)
+        b = np.round((A @ ((lo + up) / 2)) * rng.uniform(0.5, 1.2, m) + rng.uniform(-1, 1, m), 1)
+        c = -rng.integers(1, 9, n).astype(float)
+        out.append(make_instance(f"gi{len(out)}", c, A, b, lo, up, n))
+    return out
+
+
+def test_general_integer_instances_match_enumeration(monkeypatch):
+    """Every standard rule reaches the enumerated optimum of small general
+    integer instances, where branching makes overrides other than 0 and 1."""
+    calls = []
+    _recording_solver(monkeypatch, calls)
+    values = {name: set() for name in STANDARD_POLICIES}
+    solved = infeasible = 0
+    for inst in _general_integer_instances(20, seed=5):
+        expected, _ = brute_force_integer(inst)
+        for name, cls in STANDARD_POLICIES.items():
+            start = len(calls)
+            res = solve(inst, cls(), Budget(max_nodes=100_000), seed=1)
+            values[name].update(ov.value for overrides, _, _ in calls[start:] for ov in overrides)
+            if expected is None:
+                assert res.status is SolveStatus.INFEASIBLE, (inst.name, name)
+                infeasible += 1
+                continue
+            assert res.status is SolveStatus.OPTIMAL, (inst.name, name)
+            assert res.incumbent_value == pytest.approx(expected, abs=1e-6), (inst.name, name)
+            solved += 1
+    assert all(seen - {0.0, 1.0} for seen in values.values()), values
+    assert solved >= 15 * len(STANDARD_POLICIES), (solved, infeasible)

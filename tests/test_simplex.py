@@ -294,3 +294,68 @@ def test_warm_children_match_cold_and_vertex_enumeration():
     assert counts[LpStatus.OPTIMAL] >= 250, counts
     assert counts[LpStatus.INFEASIBLE] >= 150, counts
     assert counts["enumerated"] >= 250, counts
+
+
+def _solution_bytes(sol):
+    """Every field of a solution, floats as hex, so equal means bit for bit."""
+    def hexes(a):
+        return None if a is None else [float(v).hex() for v in a]
+    return (sol.status, hexes(sol.x), float(sol.objective).hex(), sol.basis,
+            sol.iterations, hexes(sol.duals), hexes(sol.reduced_costs),
+            sorted(sol.at_upper))
+
+
+def test_shared_warm_factorization_is_bit_identical():
+    """Children warm-started by one solver, which reuses the parent basis's
+    inverse from its first warm start, equal children each solved by a fresh
+    solver, bit for bit, on random LPs with degenerate rows (b = 0), tied
+    costs and infinite bounds on either side. The second and third children
+    hit the cache; the third checks that the pivots of the first two left
+    the cached inverse untouched. Warm starts from a child's basis, then from
+    the parent's again, check that a new basis replaces the entry."""
+    rng = np.random.default_rng(23)
+    compared = switched = 0
+    for k in range(800):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 6))
+        A = np.round(rng.normal(0.5, 2, (m, n)), 2)
+        A[rng.random((m, n)) < 0.25] = 0.0
+        b = np.round(rng.uniform(-1, 6, m), 2)
+        b[rng.random(m) < 0.35] = 0.0
+        c = rng.integers(-3, 2, n).astype(float)      # few distinct costs: ties
+        lo = rng.integers(0, 2, n).astype(float)
+        up = lo + rng.integers(1, 6, n)
+        up[rng.random(n) < 0.2] = np.inf
+        lo[(rng.random(n) < 0.1) & np.isfinite(up)] = -np.inf
+        inst = make_instance(f"f{k}", c, A, b, lo, up, n)
+        parent = SimplexSolver(inst).solve()
+        if parent.status is not LpStatus.OPTIMAL:
+            continue
+        frac = [j for j in range(n) if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
+        if not frac:
+            continue
+        j = frac[int(rng.integers(len(frac)))]
+        xj = float(parent.x[j])
+        down = BoundOverride(j, "upper", math.floor(xj))
+        up_ov = BoundOverride(j, "lower", math.ceil(xj))
+        shared = SimplexSolver(inst)
+        children = []
+        for ov in (down, up_ov, down):
+            hit = shared.solve((ov,), warm=parent)
+            fresh = SimplexSolver(inst).solve((ov,), warm=parent)
+            assert _solution_bytes(hit) == _solution_bytes(fresh), (k, ov)
+            children.append(hit)
+        compared += 1
+        # a warm start from another basis replaces the cached inverse
+        other = next((ch for ch in children if ch.status is LpStatus.OPTIMAL
+                      and ch.basis != parent.basis), None)
+        if other is None:
+            continue
+        for warm in (other, other, parent):
+            for ov in (down, up_ov):
+                got = shared.solve((ov,), warm=warm)
+                fresh = SimplexSolver(inst).solve((ov,), warm=warm)
+                assert _solution_bytes(got) == _solution_bytes(fresh), (k, ov)
+        assert shared._warm_basis == parent.basis
+        switched += 1
+    assert compared >= 200 and switched >= 100, (compared, switched)
