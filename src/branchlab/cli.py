@@ -39,10 +39,10 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
-from .observation import CATALOG_VERSION
+from .observation import CATALOG_VERSION, state_digest
 from .rules import STANDARD_POLICIES, HybridExpertPolicy
 from .selection import EnvelopeConfig, compute_returns, select_top, train_envelope
-from .trajectories import ObservationStore, read_episode_file, write_episode_file
+from .trajectories import read_episode_file, write_episode_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,8 +138,7 @@ def cmd_generate(cfg: Config) -> int:
 def cmd_collect(cfg: Config) -> int:
     instances = _load_split(cfg, "train")
     out = Path(cfg.get("run.root")) / "episodes"
-    out.mkdir(parents=True, exist_ok=True)
-    store = ObservationStore(out / "observations")
+    (out / "observations").mkdir(parents=True, exist_ok=True)
     budget = Budget(
         max_nodes=cfg.get_int("collect.max_nodes"),
         max_clock=cfg.get_float("collect.max_clock"),
@@ -162,7 +161,8 @@ def cmd_collect(cfg: Config) -> int:
             failures.append(inst.name)
             continue
         path = out / f"{inst.name}.jsonl"
-        write_episode_file(path, result.episode, store, provenance=_stamp(cfg))
+        provenance = dict(_stamp(cfg), rule_counts=policy.rule_counts)
+        write_episode_file(path, result.episode, provenance=provenance)
         files[inst.name] = _sha256(path)
         counts[inst.name] = len(result.episode.transitions)
     _write_manifest(
@@ -187,16 +187,11 @@ def _load_episodes(cfg: Config):
     out = Path(cfg.get("run.root")) / "episodes"
     manifest = _read_manifest(out)
     _check_stamp(cfg, manifest, "episodes")
-    store = ObservationStore(out / "observations")
-    episodes = [
-        read_episode_file(out / f"{name}.jsonl", store)
-        for name in sorted(manifest["files"])
-    ]
-    return episodes, store
+    return [read_episode_file(out / f"{name}.jsonl") for name in sorted(manifest["files"])]
 
 
 def cmd_select(cfg: Config) -> int:
-    episodes, store = _load_episodes(cfg)
+    episodes = _load_episodes(cfg)
     returns = compute_returns(episodes, cfg.get_float("select.gamma"))
     if not returns.entries:
         raise ConfigError("no transitions collected; nothing to select from")
@@ -224,7 +219,7 @@ def cmd_select(cfg: Config) -> int:
         lines.append(
             json.dumps(
                 {
-                    "obs": store.put(e.obs, e.cand),
+                    "obs": state_digest(e.obs, e.cand),
                     "set": list(e.cand),
                     "a": e.action,
                     "G": e.G,
@@ -272,14 +267,25 @@ def cmd_select(cfg: Config) -> int:
 
 
 def _load_dataset(cfg: Config):
-    out = Path(cfg.get("run.root")) / "selected"
-    manifest = _read_manifest(out)
+    root = Path(cfg.get("run.root"))
+    manifest = _read_manifest(root / "selected")
     _check_stamp(cfg, manifest, "selected dataset")
-    store = ObservationStore(Path(cfg.get("run.root")) / "episodes" / "observations")
+    lines = (root / "selected" / "dataset.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    # each episode is read once, however many of its states were selected
+    transitions = {
+        name: read_episode_file(root / "episodes" / f"{name}.jsonl").transitions
+        for name in sorted({row["episode"] for row in rows})
+    }
     batch = []
-    for line in (out / "dataset.jsonl").read_text().splitlines():
-        row = json.loads(line)
-        batch.append((store.get(row["obs"]), tuple(row["set"]), int(row["a"])))
+    for row in rows:
+        ts, t, cand = transitions[row["episode"]], int(row["t"]), tuple(row["set"])
+        if not (0 <= t < len(ts) and state_digest(ts[t].obs, cand) == row["obs"]):
+            raise ValueError(
+                f"dataset row for episode {row['episode']!r}, transition {t}: "
+                "the episode's state does not match the row's digest"
+            )
+        batch.append((ts[t].obs, cand, int(row["a"])))
     return batch
 
 

@@ -172,30 +172,3 @@ def canonical_bytes(obs: BipartiteObservation, candidates: tuple[int, ...] | lis
 def state_digest(obs: BipartiteObservation, candidates: tuple[int, ...] | list[int]) -> str:
     """128-bit hex digest of the canonical serialization of (obs, candidates)."""
     return hashlib.blake2b(canonical_bytes(obs, candidates), digest_size=16).hexdigest()
-
-
-def observation_to_dict(obs: BipartiteObservation) -> dict:
-    return {
-        "catalog": CATALOG_VERSION,
-        "var": obs.var_features.tolist(),
-        "cons": obs.cons_features.tolist(),
-        "edge_row": obs.edge_row.tolist(),
-        "edge_col": obs.edge_col.tolist(),
-        "edge_val": obs.edge_val.tolist(),
-    }
-
-
-def observation_from_dict(d: dict) -> BipartiteObservation:
-    if d.get("catalog") != CATALOG_VERSION:
-        raise ValueError(
-            f"observation catalog version {d.get('catalog')} != {CATALOG_VERSION}"
-        )
-    obs = BipartiteObservation(
-        var_features=np.asarray(d["var"], dtype=np.float64).reshape(-1, VAR_FEATURES),
-        cons_features=np.asarray(d["cons"], dtype=np.float64).reshape(-1, CONS_FEATURES),
-        edge_row=np.asarray(d["edge_row"], dtype=np.int64),
-        edge_col=np.asarray(d["edge_col"], dtype=np.int64),
-        edge_val=np.asarray(d["edge_val"], dtype=np.float64),
-    )
-    _freeze(obs)
-    return obs

@@ -1,27 +1,31 @@
-"""Transition and episode records plus their on-disk JSON-lines form.
+"""Transition and episode records plus their on-disk form.
 
 One transition is recorded per branching decision: the state (observation
 plus candidate set), the chosen candidate, the reward accrued since the
 previous decision, the next decision state (absent on the final transition),
-and the done flag. Episode files carry a header line with provenance and the
-dual-bound trace; observations are stored once in a content-addressed blob
-directory and referenced by digest.
+and the done flag.
+
+An episode is stored as two files. ``<name>.jsonl`` holds a header line with
+provenance and the dual-bound trace, then one row per decision with the
+state and next-state digests (``state_digest``), candidate sets, action,
+reward, done flag and clock. ``observations/<name>.npz`` holds the states:
+``var`` (T, n, 12) and ``cons`` (T, m, 5), one slice per decision, and the
+edge list ``edge_row``/``edge_col``/``edge_val`` once, because every state of
+one instance shares it. An episode with no decisions has no ``.npz``. The
+next state of a row is the following row's state, so it is not stored again.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .observation import (
-    BipartiteObservation,
-    CATALOG_VERSION,
-    observation_from_dict,
-    observation_to_dict,
-    state_digest,
-)
+import numpy as np
+
+from .observation import BipartiteObservation, CATALOG_VERSION, state_digest
 
 
 @dataclass
@@ -52,9 +56,6 @@ class Episode:
     horizon: float = 0.0
     opt_value: float = math.nan
 
-    def __len__(self) -> int:
-        return len(self.transitions)
-
 
 class ChainError(ValueError):
     """Episode transitions do not chain: next state differs from the following state."""
@@ -72,43 +73,22 @@ def validate_chain(episode: Episode) -> None:
             raise ChainError(episode.instance, t, f"action {tr.action} not in candidate set")
         if not math.isfinite(tr.reward):
             raise ChainError(episode.instance, t, "non-finite reward")
-        last = t == len(ts) - 1
-        if tr.done != last:
+        if tr.done != (t == len(ts) - 1):
             raise ChainError(episode.instance, t, "done flag not on the final transition")
-        if last:
-            continue
-        nd = tr.next_digest()
-        if nd is None:
-            raise ChainError(episode.instance, t, "missing next state before episode end")
-        if nd != ts[t + 1].digest():
-            raise ChainError(episode.instance, t, "next state digest mismatch")
+        if not tr.done and tr.next_digest() != ts[t + 1].digest():
+            raise ChainError(episode.instance, t, "next state differs from the following state")
 
 
-class ObservationStore:
-    """Content-addressed observation blobs, one JSON file per digest."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def put(self, obs: BipartiteObservation, cand: tuple[int, ...]) -> str:
-        digest = state_digest(obs, cand)
-        path = self.root / f"{digest}.json"
-        if not path.exists():
-            path.write_text(json.dumps(observation_to_dict(obs), sort_keys=True))
-        return digest
-
-    def get(self, digest: str) -> BipartiteObservation:
-        path = self.root / f"{digest}.json"
-        return observation_from_dict(json.loads(path.read_text()))
+def observations_path(path: str | Path) -> Path:
+    """Where the states of the episode file at ``path`` are stored."""
+    path = Path(path)
+    return path.parent / "observations" / f"{path.stem}.npz"
 
 
-def write_episode_file(
-    path: str | Path,
-    episode: Episode,
-    store: ObservationStore,
-    provenance: dict | None = None,
-) -> None:
+_EDGES = ("edge_row", "edge_col", "edge_val")
+
+
+def write_episode_file(path: str | Path, episode: Episode, provenance: dict | None = None) -> None:
     header = {
         "type": "header",
         "instance": episode.instance,
@@ -118,26 +98,59 @@ def write_episode_file(
         "horizon": episode.horizon,
         "opt_value": None if math.isnan(episode.opt_value) else episode.opt_value,
     }
-    if provenance:
-        header.update(provenance)
+    header.update(provenance or {})
     lines = [json.dumps(header, sort_keys=True)]
     for tr in episode.transitions:
         row = {
-            "obs": store.put(tr.obs, tr.cand),
+            "obs": tr.digest(),
             "set": list(tr.cand),
             "a": tr.action,
             "r": tr.reward,
-            "next_obs": store.put(tr.next_obs, tr.next_cand) if tr.next_obs is not None else None,
+            "next_obs": tr.next_digest(),
             "next_set": list(tr.next_cand) if tr.next_cand is not None else None,
             "d": tr.done,
             "clock": tr.clock,
         }
         lines.append(json.dumps(row, sort_keys=True))
+    # every state of one instance shares its edge list, so it is stored once
+    states = [tr.obs for tr in episode.transitions]
+    for t, obs in enumerate(states):
+        for name in _EDGES:
+            a, b = getattr(obs, name), getattr(states[0], name)
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                raise ValueError(f"episode {episode.instance!r}, transition {t}: "
+                                 f"{name} differs from the first state's")
+    npz = observations_path(path)
+    if states:
+        npz.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(npz, var=np.stack([obs.var_features for obs in states]),
+                 cons=np.stack([obs.cons_features for obs in states]),
+                 **{name: getattr(states[0], name) for name in _EDGES})
+    else:
+        npz.unlink(missing_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_episode_file(path: str | Path, store: ObservationStore) -> Episode:
+def _read_states(npz: Path, count: int) -> list[BipartiteObservation]:
+    """The ``count`` states stored in ``npz``, as read-only views."""
+    try:
+        with np.load(npz) as z:
+            var, cons, *edges = (z[k] for k in ("var", "cons", *_EDGES))
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"{npz}: {exc}") from None
+    for a in (var, cons, *edges):
+        a.flags.writeable = False
+    if len(var) != count or len(cons) != count:
+        raise ValueError(f"{npz}: holds {len(var)} states for {count} transitions")
+    return [BipartiteObservation(var[t], cons[t], *edges) for t in range(count)]
+
+
+def read_episode_file(path: str | Path) -> Episode:
+    """Read an episode and its states. Each state must match its row's
+    digest, and each row's next state must be the following row's state."""
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty episode file")
     header = json.loads(lines[0])
     if header.get("type") != "header":
         raise ValueError(f"{path}: first line is not an episode header")
@@ -149,20 +162,25 @@ def read_episode_file(path: str | Path, store: ObservationStore) -> Episode:
         instance=header["instance"],
         trace_events=[(float(c), float(z)) for c, z in header.get("trace", [])],
         horizon=float(header.get("horizon", 0.0)),
-        opt_value=(
-            math.nan if header.get("opt_value") is None else float(header["opt_value"])
-        ),
+        opt_value=math.nan if header.get("opt_value") is None else float(header["opt_value"]),
     )
-    for line in lines[1:]:
-        row = json.loads(line)
+    rows = [json.loads(line) for line in lines[1:]]
+    states = _read_states(observations_path(path), len(rows)) if rows else []
+    for t, row in enumerate(rows):
+        if state_digest(states[t], row["set"]) != row["obs"]:
+            raise ChainError(episode.instance, t, "stored state does not match its digest")
+        last = t + 1 == len(rows)
+        following = {"obs": None, "set": None} if last else rows[t + 1]
+        if (row["next_obs"], row["next_set"]) != (following["obs"], following["set"]):
+            raise ChainError(episode.instance, t, "next state differs from the following state")
         episode.transitions.append(
             Transition(
-                obs=store.get(row["obs"]),
+                obs=states[t],
                 cand=tuple(row["set"]),
                 action=int(row["a"]),
                 reward=float(row["r"]),
-                next_obs=store.get(row["next_obs"]) if row["next_obs"] else None,
-                next_cand=tuple(row["next_set"]) if row["next_set"] is not None else None,
+                next_obs=None if last else states[t + 1],
+                next_cand=None if last else tuple(following["set"]),
                 done=bool(row["d"]),
                 clock=float(row.get("clock", 0.0)),
             )

@@ -175,3 +175,49 @@ def test_config_hash_key_order_independent(tmp_path):
     a.write_text("run.seed = 3\nhybrid.r0 = 0.5\n")
     b.write_text("hybrid.r0 = 0.5\nrun.seed = 3\n")
     assert Config.load(a).hash() == Config.load(b).hash()
+
+
+def test_episode_headers_count_expert_rules(tmp_path):
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 4})
+    assert _run("generate", ov) == 0
+    assert _run("collect", ov) == 0
+    manifest = json.loads((root / "episodes" / "manifest.json").read_text())
+    for name in manifest["files"]:
+        header = json.loads((root / "episodes" / f"{name}.jsonl").read_text().splitlines()[0])
+        # each branching decision draws exactly one of the two rules
+        counts = header["rule_counts"]
+        assert sorted(counts) == ["ac", "pc"]
+        assert counts["pc"] + counts["ac"] == header["transitions"]
+
+
+def test_broken_episode_artifacts_are_data_errors(tmp_path, capsys):
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 3, "train.epochs": 2})
+    for command in ("generate", "collect", "select"):
+        assert _run(command, ov) == 0, command
+    states = sorted((root / "episodes" / "observations").glob("*.npz"))
+    assert states
+    kept = {path: path.read_bytes() for path in states}
+
+    for path in states:
+        path.unlink()
+    capsys.readouterr()
+    assert _run("train", ov) == 2
+    assert ".npz" in capsys.readouterr().err
+    assert _run("select", ov) == 2
+    assert states[0].name in capsys.readouterr().err
+    for path, data in kept.items():
+        path.write_bytes(data)
+
+    dataset = root / "selected" / "dataset.jsonl"
+    rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+    rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
+    dataset.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    assert _run("train", ov) == 2
+    assert "does not match the row's digest" in capsys.readouterr().err
+
+    episode = root / "episodes" / f"{states[0].stem}.jsonl"
+    episode.write_text("")
+    assert _run("select", ov) == 2
+    assert "empty episode file" in capsys.readouterr().err

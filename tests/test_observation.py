@@ -1,4 +1,3 @@
-import json
 import subprocess
 import sys
 import textwrap
@@ -10,13 +9,10 @@ import pytest
 import branchlab
 from branchlab.instances import InstanceFamilySpec, generate_instance, serialize_instance
 from branchlab.observation import (
-    CATALOG_VERSION,
     CONS_FEATURES,
     VAR_FEATURES,
     BipartiteObservation,
     extract_observation,
-    observation_from_dict,
-    observation_to_dict,
     state_digest,
 )
 from branchlab.simplex import SimplexSolver, LpStatus
@@ -99,20 +95,6 @@ def test_features_finite_and_in_range_fuzzed():
         # edge set is exactly the sparsity pattern of A
         assert obs.num_edges == inst.nnz
         count += 1
-
-
-def test_serialization_roundtrip(knapsack):
-    obs, cands = _root_obs(knapsack)
-    again = observation_from_dict(json.loads(json.dumps(observation_to_dict(obs))))
-    assert state_digest(again, cands) == state_digest(obs, cands)
-
-
-def test_catalog_version_checked(knapsack):
-    obs, _ = _root_obs(knapsack)
-    payload = observation_to_dict(obs)
-    payload["catalog"] = CATALOG_VERSION + 1
-    with pytest.raises(ValueError, match="catalog"):
-        observation_from_dict(payload)
 
 
 def test_digest_stable_across_processes(knapsack):
