@@ -6,10 +6,10 @@ the engine performs (node solves, strong-branching probes, dive estimates),
 so identical inputs give identical traces regardless of machine. A wall-clock
 mode exists for reporting but is not reproducible.
 
-A child LP is solved once. When the policy probed the variable it branches on
-(strong branching probes every candidate), the node's two children are the
-probed LPs: they pass the same checks as a fresh solve and are not solved, or
-counted on the clock, again.
+A node's two children come from one probe of the variable it branches on:
+the pair the policy already probed (strong branching probes every candidate),
+or else a fresh one. So each child LP is solved, counted on the clock, checked
+against its parent and folded into the pseudocosts once.
 
 The dual-bound trace holds (clock, best dual bound) events; the dual integral
 is the area between the optimum and the bound curve over the horizon and is 0
@@ -201,8 +201,6 @@ def solve_result_to_json(result: SolveResult) -> str:
                 "set": list(tr.cand),
                 "a": tr.action,
                 "r": repr(float(tr.reward)),
-                "next": tr.next_digest(),
-                "d": tr.done,
                 "clock": repr(float(tr.clock)),
             }
             for tr in result.episode.transitions
@@ -286,16 +284,25 @@ class _Engine:
         return _checked(sol)
 
     def probe(self, node: BnbNode, j: int) -> tuple[LpSolution, LpSolution]:
+        """The (down, up) children of branching on j, solved warm from the
+        node's LP. Each optimal child is checked against the parent (a
+        tightened child cannot beat it beyond ``FEAS_TOL``) and folded into
+        the pseudocosts; this is the only place either happens."""
         down, up = self.solver.probe_children(
             node.overrides, node.lp, j, iter_limit=self.lp_iter_limit
         )
         self.iterations += down.iterations + up.iterations
+        parent_obj = node.lp.objective
         xj = float(node.lp.x[j])
         frac = xj - math.floor(xj)
-        if down.status is LpStatus.OPTIMAL:
-            pc_update(self.pc, j, "down", node.lp.objective, down.objective, frac)
-        if up.status is LpStatus.OPTIMAL:
-            pc_update(self.pc, j, "up", node.lp.objective, up.objective, 1.0 - frac)
+        for child, direction, dist in ((down, "down", frac), (up, "up", 1.0 - frac)):
+            if child.status is not LpStatus.OPTIMAL:
+                continue
+            if child.objective < parent_obj - FEAS_TOL * (1 + abs(parent_obj)):
+                raise NumericalInstabilityError(
+                    f"child bound {child.objective} beats parent {parent_obj}"
+                )
+            pc_update(self.pc, j, direction, parent_obj, child.objective, dist)
         return down, up
 
     def observe(self, node: BnbNode):
@@ -325,28 +332,14 @@ class _Engine:
             self.incumbent = x
             self.incumbent_value = value
 
-    def _add_child(self, parent: BnbNode, override: BoundOverride,
-                   probed: LpSolution | None = None) -> None:
-        """Solve one child, or take its probed LP, and queue it. A child LP
-        may come back a little below its parent's (within ``FEAS_TOL``); the
-        child's bound, which keys the heap and so the dual-bound trace, is
-        then the parent's, so the trace never decreases. Pseudocosts see the
-        raw LP objectives."""
-        if probed is None:
-            lp = self._solve_lp(parent.overrides + (override,), warm=parent.lp)
-        else:
-            lp = _checked(probed)
+    def _add_child(self, parent: BnbNode, override: BoundOverride, lp: LpSolution) -> None:
+        """Queue one probed child unless it is infeasible, integral or
+        pruned. A child LP may come back a little below its parent's (within
+        ``FEAS_TOL``); the child's bound, which keys the heap and so the
+        dual-bound trace, is then the parent's, so the trace never decreases."""
+        lp = _checked(lp)
         if lp.status is LpStatus.INFEASIBLE:
             return
-        if lp.objective < parent.lp.objective - FEAS_TOL * (1 + abs(parent.lp.objective)):
-            raise NumericalInstabilityError(
-                f"child bound {lp.objective} beats parent {parent.lp.objective}"
-            )
-        direction = "down" if override.side == "upper" else "up"
-        xj = float(parent.lp.x[override.var])
-        frac = xj - math.floor(xj)
-        dist = frac if direction == "down" else 1.0 - frac
-        pc_update(self.pc, override.var, direction, parent.lp.objective, lp.objective, dist)
         cands = self._candidates(lp)
         if not cands:
             self._try_incumbent(lp)
@@ -450,7 +443,7 @@ class _Engine:
                 }
             )
         xj = float(node.lp.x[action])
-        down, up = ctx.probed.get(action, (None, None))
+        down, up = ctx.probed.get(action) or self.probe(node, action)
         self._add_child(node, BoundOverride(action, "upper", math.floor(xj)), down)
         self._add_child(node, BoundOverride(action, "lower", math.ceil(xj)), up)
 
@@ -488,16 +481,12 @@ class _Engine:
                 reward = area_under_bound(
                     raw_events, self.decisions[t - 1]["clock"], dec["clock"]
                 )
-            last = t == len(self.decisions) - 1
             episode.transitions.append(
                 Transition(
                     obs=dec["obs"],
                     cand=dec["cand"],
                     action=dec["action"],
                     reward=reward,
-                    next_obs=None if last else self.decisions[t + 1]["obs"],
-                    next_cand=None if last else self.decisions[t + 1]["cand"],
-                    done=last,
                     clock=dec["clock"],
                 )
             )

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .bnb import Budget, solve
 from .gnn import GcnnPolicy, load_checkpoint, policy_loss
-from .instances import parse_instance, serialize_instance
 from .rules import BranchingPolicy
 
 
@@ -71,8 +70,7 @@ class EvalReport:
 
 
 def _evaluate_one(payload) -> EvalRow:
-    text, policy, budget, seed = payload
-    inst = parse_instance(text)
+    inst, policy, budget, seed = payload
     try:
         result = solve(inst, policy, budget, seed=seed, record_episode=False)
         integral = result.dual_integral()
@@ -109,7 +107,7 @@ def evaluate_policy(
     """Solve every instance under the policy; failures become error rows."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    payloads = [(serialize_instance(inst), policy, budget, seed) for inst in instances]
+    payloads = [(inst, policy, budget, seed) for inst in instances]
     if workers == 1 or len(payloads) <= 1:
         rows = [_evaluate_one(p) for p in payloads]
     else:

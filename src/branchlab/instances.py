@@ -75,6 +75,12 @@ class MilpInstance:
         object.__setattr__(self, "lower", _frozen(self.lower))
         object.__setattr__(self, "upper", _frozen(self.upper))
 
+    def __reduce__(self):
+        # unpickled arrays come back writeable; the constructor freezes them
+        return (MilpInstance, (self.name, self.num_vars, self.num_cons, self.num_int,
+                               self.objective, self.row_idx, self.col_idx, self.coef,
+                               self.rhs, self.lower, self.upper))
+
     @property
     def nnz(self) -> int:
         return len(self.coef)

@@ -2,17 +2,19 @@
 
 One transition is recorded per branching decision: the state (observation
 plus candidate set), the chosen candidate, the reward accrued since the
-previous decision, the next decision state (absent on the final transition),
-and the done flag.
+previous decision, and the decision's clock. An episode is its decisions in
+order; returns are a backward pass over them, so no transition stores its
+successor.
 
 An episode is stored as two files. ``<name>.jsonl`` holds a header line with
 provenance and the dual-bound trace, then one row per decision with the
-state and next-state digests (``state_digest``), candidate sets, action,
-reward, done flag and clock. ``observations/<name>.npz`` holds the states:
-``var`` (T, n, 12) and ``cons`` (T, m, 5), one slice per decision, and the
-edge list ``edge_row``/``edge_col``/``edge_val`` once, because every state of
-one instance shares it. An episode with no decisions has no ``.npz``. The
-next state of a row is the following row's state, so it is not stored again.
+state digest (``state_digest``), candidate set, action, reward and clock.
+``observations/<name>.npz`` holds the states: ``var`` (T, n, 12) and
+``cons`` (T, m, 5), one slice per decision, and the edge list
+``edge_row``/``edge_col``/``edge_val`` once, because every state of one
+instance shares it. An episode with no decisions has no ``.npz``. Rows
+written before the format dropped next-state links also carry
+``next_obs``/``next_set``/``d``; the reader ignores them.
 """
 
 from __future__ import annotations
@@ -34,18 +36,10 @@ class Transition:
     cand: tuple[int, ...]
     action: int
     reward: float
-    next_obs: BipartiteObservation | None
-    next_cand: tuple[int, ...] | None
-    done: bool
     clock: float = 0.0
 
     def digest(self) -> str:
         return state_digest(self.obs, self.cand)
-
-    def next_digest(self) -> str | None:
-        if self.next_obs is None or self.next_cand is None:
-            return None
-        return state_digest(self.next_obs, self.next_cand)
 
 
 @dataclass
@@ -58,25 +52,14 @@ class Episode:
 
 
 class ChainError(ValueError):
-    """Episode transitions do not chain: next state differs from the following state."""
+    """An episode row does not fit its episode: its stored state differs from
+    its digest, its action is outside its candidate set, or its reward is
+    not finite."""
 
     def __init__(self, episode: str, position: int, message: str):
         super().__init__(f"episode {episode!r}, transition {position}: {message}")
         self.episode = episode
         self.position = position
-
-
-def validate_chain(episode: Episode) -> None:
-    ts = episode.transitions
-    for t, tr in enumerate(ts):
-        if tr.action not in tr.cand:
-            raise ChainError(episode.instance, t, f"action {tr.action} not in candidate set")
-        if not math.isfinite(tr.reward):
-            raise ChainError(episode.instance, t, "non-finite reward")
-        if tr.done != (t == len(ts) - 1):
-            raise ChainError(episode.instance, t, "done flag not on the final transition")
-        if not tr.done and tr.next_digest() != ts[t + 1].digest():
-            raise ChainError(episode.instance, t, "next state differs from the following state")
 
 
 def observations_path(path: str | Path) -> Path:
@@ -106,9 +89,6 @@ def write_episode_file(path: str | Path, episode: Episode, provenance: dict | No
             "set": list(tr.cand),
             "a": tr.action,
             "r": tr.reward,
-            "next_obs": tr.next_digest(),
-            "next_set": list(tr.next_cand) if tr.next_cand is not None else None,
-            "d": tr.done,
             "clock": tr.clock,
         }
         lines.append(json.dumps(row, sort_keys=True))
@@ -146,8 +126,10 @@ def _read_states(npz: Path, count: int) -> list[BipartiteObservation]:
 
 
 def read_episode_file(path: str | Path) -> Episode:
-    """Read an episode and its states. Each state must match its row's
-    digest, and each row's next state must be the following row's state."""
+    """Read an episode and its states. The ``.npz`` must hold one state per
+    row, each state must match its row's digest, each action must be in its
+    row's candidate set and each reward must be finite. A dropped or moved
+    row fails the count or the digest check."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty episode file")
@@ -169,20 +151,16 @@ def read_episode_file(path: str | Path) -> Episode:
     for t, row in enumerate(rows):
         if state_digest(states[t], row["set"]) != row["obs"]:
             raise ChainError(episode.instance, t, "stored state does not match its digest")
-        last = t + 1 == len(rows)
-        following = {"obs": None, "set": None} if last else rows[t + 1]
-        if (row["next_obs"], row["next_set"]) != (following["obs"], following["set"]):
-            raise ChainError(episode.instance, t, "next state differs from the following state")
-        episode.transitions.append(
-            Transition(
-                obs=states[t],
-                cand=tuple(row["set"]),
-                action=int(row["a"]),
-                reward=float(row["r"]),
-                next_obs=None if last else states[t + 1],
-                next_cand=None if last else tuple(following["set"]),
-                done=bool(row["d"]),
-                clock=float(row.get("clock", 0.0)),
-            )
+        tr = Transition(
+            obs=states[t],
+            cand=tuple(row["set"]),
+            action=int(row["a"]),
+            reward=float(row["r"]),
+            clock=float(row.get("clock", 0.0)),
         )
+        if tr.action not in tr.cand:
+            raise ChainError(episode.instance, t, f"action {tr.action} not in candidate set")
+        if not math.isfinite(tr.reward):
+            raise ChainError(episode.instance, t, "non-finite reward")
+        episode.transitions.append(tr)
     return episode

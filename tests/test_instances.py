@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,14 @@ def test_immutability():
     inst = generate_instance(InstanceFamilySpec("set-cover", n=8, m=4, seed=3))
     with pytest.raises(ValueError):
         inst.objective[0] = 99.0
+
+
+def test_pickle_roundtrip_stays_read_only():
+    """Evaluation workers receive instances by pickle; the copy is equal and
+    as read-only as the original."""
+    inst = generate_instance(InstanceFamilySpec("item-placement-like", n=8, m=4, seed=2))
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and again.name == inst.name
+    for name in ("objective", "row_idx", "col_idx", "coef", "rhs", "lower", "upper"):
+        assert not getattr(again, name).flags.writeable, name
+        assert getattr(again, name).dtype == getattr(inst, name).dtype, name

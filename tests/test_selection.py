@@ -15,27 +15,19 @@ from branchlab.selection import (
     train_envelope,
     violation_fraction,
 )
-from branchlab.trajectories import ChainError, Episode, Transition
+from branchlab.trajectories import Episode, Transition
 
 from .test_gnn import collect_states, random_observation
 
 
 def _episode(rewards, name="ep"):
-    """Synthetic chained episode with one fixed observation per step."""
+    """Synthetic episode with one fixed observation per decision."""
     rng = np.random.default_rng(hash(name) % 2**32)
-    obs = [random_observation(rng) for _ in rewards]
-    cands = [(0, 1)] * len(rewards)
-    ts = []
-    for t, r in enumerate(rewards):
-        last = t == len(rewards) - 1
-        ts.append(
-            Transition(
-                obs=obs[t], cand=cands[t], action=0, reward=float(r),
-                next_obs=None if last else obs[t + 1],
-                next_cand=None if last else cands[t + 1],
-                done=last, clock=float(t),
-            )
-        )
+    ts = [
+        Transition(obs=random_observation(rng), cand=(0, 1), action=0,
+                   reward=float(r), clock=float(t))
+        for t, r in enumerate(rewards)
+    ]
     return Episode(instance=name, transitions=ts)
 
 
@@ -64,16 +56,6 @@ def test_returns_recursion_exact():
         for t in range(len(rewards) - 1):
             assert g[t] - (rewards[t] + gamma * g[t + 1]) == 0.0
         assert g[-1] == rewards[-1]
-
-
-def test_broken_chain_names_episode_and_position():
-    ep = _episode([1, 2, 3], name="broken")
-    rng = np.random.default_rng(99)
-    ep.transitions[1].next_obs = random_observation(rng)      # break link 1 -> 2
-    with pytest.raises(ChainError) as err:
-        compute_returns([ep], 1.0)
-    assert err.value.episode == "broken"
-    assert err.value.position == 1
 
 
 def test_constant_envelope_zero_weights_has_zero_loss():

@@ -12,7 +12,6 @@ from branchlab.trajectories import (
     ChainError,
     observations_path,
     read_episode_file,
-    validate_chain,
     write_episode_file,
 )
 
@@ -50,8 +49,7 @@ def test_episode_file_roundtrip(tmp_path):
     for a, b in zip(again.transitions, episode.transitions):
         assert a.digest() == b.digest()
         assert a.cand == b.cand and a.action == b.action
-        assert a.reward == b.reward and a.done == b.done and a.clock == b.clock
-    validate_chain(again)
+        assert a.reward == b.reward and a.clock == b.clock
 
 
 def test_states_roundtrip_as_arrays(tmp_path):
@@ -65,9 +63,6 @@ def test_states_roundtrip_as_arrays(tmp_path):
             assert np.array_equal(getattr(a.obs, name), getattr(b.obs, name)), name
             assert not getattr(a.obs, name).flags.writeable
         assert state_digest(a.obs, a.cand) == state_digest(b.obs, b.cand)
-    for t in range(len(again.transitions) - 1):
-        assert again.transitions[t].next_obs is again.transitions[t + 1].obs
-    assert again.transitions[-1].next_obs is None
 
 
 def test_episode_solved_at_root_has_no_states_file(tmp_path):
@@ -122,30 +117,78 @@ def test_changed_state_value_is_a_chain_error(tmp_path):
     assert exc.value.episode == episode.instance and exc.value.position == 2
 
 
-def test_next_state_mismatch_is_a_chain_error(tmp_path):
+def _split(text):
+    """An episode file's header line and its rows."""
+    lines = text.splitlines()
+    return lines[0], [json.loads(line) for line in lines[1:]]
+
+
+def _write(path, header, rows):
+    path.write_text("\n".join([header] + [json.dumps(r, sort_keys=True) for r in rows]) + "\n")
+
+
+def test_rows_with_next_state_links_still_read(tmp_path):
+    """Rows written before the format dropped ``next_obs``/``next_set``/``d``
+    read as the same episode."""
     episode, path = _written_episode(tmp_path)
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[2])      # transition 1
-    row["next_obs"] = json.loads(lines[1])["obs"]
-    lines[2] = json.dumps(row, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ChainError, match="transition 1") as exc:
-        read_episode_file(path)
-    assert exc.value.episode == episode.instance and exc.value.position == 1
+    header, rows = _split(path.read_text())
+    for t, row in enumerate(rows):
+        last = t + 1 == len(rows)
+        row["next_obs"] = None if last else rows[t + 1]["obs"]
+        row["next_set"] = None if last else rows[t + 1]["set"]
+        row["d"] = last
+    _write(path, header, rows)
+    again = read_episode_file(path)
+    assert [(t.digest(), t.cand, t.action, t.reward, t.clock) for t in again.transitions] == \
+        [(t.digest(), t.cand, t.action, t.reward, t.clock) for t in episode.transitions]
 
 
-def test_next_state_digests_link(tmp_path):
-    episode = _solved_episode()
-    for t in range(len(episode.transitions) - 1):
-        assert episode.transitions[t].next_digest() == episode.transitions[t + 1].digest()
-    assert episode.transitions[-1].next_digest() is None
+def _action_outside_set(rows, t):
+    rows[t]["a"] = max(rows[t]["set"]) + 1
 
 
-def test_validate_chain_catches_done_misplacement():
-    episode = _solved_episode()
-    episode.transitions[0].done = True
-    with pytest.raises(ChainError, match="done"):
-        validate_chain(episode)
+def _nan_reward(rows, t):
+    rows[t]["r"] = float("nan")
+
+
+def _swap_with_next(rows, t):
+    rows[t], rows[t + 1] = rows[t + 1], rows[t]
+
+
+@pytest.fixture(scope="module")
+def collected_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    overrides = []
+    for key, value in {"run.root": root, "family.n": 12, "family.train_count": 3,
+                       "collect.max_nodes": 25}.items():
+        overrides += ["--set", f"{key}={value}"]
+    assert main([*overrides, "generate"]) == 0
+    assert main([*overrides, "collect"]) == 0
+    return root, overrides
+
+
+@pytest.mark.parametrize("change, message", [
+    (_action_outside_set, "not in candidate set"),
+    (_nan_reward, "non-finite reward"),
+    (_swap_with_next, "does not match its digest"),
+], ids=["action-outside-set", "nan-reward", "swapped-rows"])
+def test_broken_row_is_a_chain_error_and_a_data_error(collected_root, capsys, change, message):
+    root, overrides = collected_root
+    path = max((root / "episodes").glob("*.jsonl"), key=lambda p: len(p.read_text()))
+    text = path.read_text()
+    header, rows = _split(text)
+    assert len(rows) >= 3
+    change(rows, 1)
+    _write(path, header, rows)
+    try:
+        with pytest.raises(ChainError, match=message) as exc:
+            read_episode_file(path)
+        assert exc.value.episode == path.stem and exc.value.position == 1
+        capsys.readouterr()
+        assert main([*overrides, "select"]) == 2
+        assert "transition 1" in capsys.readouterr().err
+    finally:
+        path.write_text(text)
 
 
 def test_header_rejected_on_version_mismatch(tmp_path):
