@@ -153,7 +153,6 @@ def area_under_bound(events: list[tuple[float, float]], a: float, b: float) -> f
 @dataclass
 class BnbNode:
     id: int
-    parent: int | None
     depth: int
     overrides: tuple[BoundOverride, ...]
     lp: LpSolution
@@ -258,13 +257,12 @@ class _Engine:
         self.iterations = 0
         self._wall_start = time.perf_counter()
         self.trace = DualTrace()
-        self.heap: list[tuple[float, int]] = []
-        self.nodes: dict[int, BnbNode] = {}
+        self.heap: list[tuple[float, int, BnbNode]] = []   # unique ids: nodes never compared
         self.next_id = 0
         self.incumbent: np.ndarray | None = None
         self.incumbent_value = math.inf
         self.nodes_processed = 0
-        self.decisions: list[dict] = []
+        self.decisions: list[Transition] = []
 
     # -- clock ---------------------------------------------------------------
 
@@ -348,12 +346,11 @@ class _Engine:
         if bound >= self.incumbent_value - 1e-9:
             return
         node = BnbNode(
-            id=self.next_id, parent=parent.id, depth=parent.depth + 1,
+            id=self.next_id, depth=parent.depth + 1,
             overrides=parent.overrides + (override,), lp=lp, bound=bound, candidate_set=cands,
         )
         self.next_id += 1
-        self.nodes[node.id] = node
-        heapq.heappush(self.heap, (bound, node.id))
+        heapq.heappush(self.heap, (bound, node.id, node))
 
     def _cleanup_heap(self) -> None:
         while self.heap and self.heap[0][0] >= self.incumbent_value - 1e-9:
@@ -386,7 +383,7 @@ class _Engine:
 
         root_cands = self._candidates(root)
         root_node = BnbNode(
-            id=0, parent=None, depth=0, overrides=(), lp=root, bound=root.objective,
+            id=0, depth=0, overrides=(), lp=root, bound=root.objective,
             candidate_set=root_cands,
         )
         self.next_id = 1
@@ -394,8 +391,7 @@ class _Engine:
             self._try_incumbent(root)
             self.trace.append(self.clock(), self.incumbent_value)
             return self._finish(SolveStatus.OPTIMAL)
-        self.nodes[root_node.id] = root_node
-        heapq.heappush(self.heap, (root.objective, root_node.id))
+        heapq.heappush(self.heap, (root.objective, root_node.id, root_node))
         self._record_bound()
 
         status = None
@@ -413,8 +409,7 @@ class _Engine:
             if self._out_of_clock():
                 status = SolveStatus.BUDGET_EXHAUSTED
                 break
-            _, node_id = heapq.heappop(self.heap)
-            node = self.nodes.pop(node_id)
+            node = heapq.heappop(self.heap)[2]
             self._expand(node)
             self.nodes_processed += 1
             self._record_bound()
@@ -434,14 +429,9 @@ class _Engine:
             )
         action = int(action)
         if self.record_episode:
-            self.decisions.append(
-                {
-                    "obs": ctx.observation,
-                    "cand": node.candidate_set,
-                    "action": action,
-                    "clock": decision_clock,
-                }
-            )
+            # the reward is known only once the next decision is taken
+            self.decisions.append(Transition(obs=ctx.observation, cand=node.candidate_set,
+                                             action=action, reward=0.0, clock=decision_clock))
         xj = float(node.lp.x[action])
         down, up = ctx.probed.get(action) or self.probe(node, action)
         self._add_child(node, BoundOverride(action, "upper", math.floor(xj)), down)
@@ -453,43 +443,29 @@ class _Engine:
             horizon = float(self.budget.max_clock)
         else:
             horizon = end_clock
-        events = [(c, z) for c, z in self.trace.events if c <= horizon]
+        trace = self.trace
+        trace.events = [(c, z) for c, z in trace.events if c <= horizon]
         if status is SolveStatus.INFEASIBLE and self.incumbent is None:
             opt_value = math.nan
         elif self.incumbent is not None:
             opt_value = self.incumbent_value
-        elif events:
-            opt_value = events[-1][1]
+        elif trace.events:
+            opt_value = trace.events[-1][1]
         else:
             opt_value = math.nan
-
-        trace = DualTrace(horizon=horizon, opt_value=opt_value)
-        for c, z in events:
-            trace.append(c, z)
+        trace.horizon, trace.opt_value = horizon, opt_value
 
         episode = Episode(
             instance=self.inst.name,
+            transitions=self.decisions,
             trace_events=list(trace.events),
             horizon=horizon,
             opt_value=opt_value,
         )
-        raw_events = self.trace.events
-        for t, dec in enumerate(self.decisions):
-            if t == 0:
-                reward = 0.0
-            else:
-                reward = area_under_bound(
-                    raw_events, self.decisions[t - 1]["clock"], dec["clock"]
-                )
-            episode.transitions.append(
-                Transition(
-                    obs=dec["obs"],
-                    cand=dec["cand"],
-                    action=dec["action"],
-                    reward=reward,
-                    clock=dec["clock"],
-                )
-            )
+        # every decision is taken before the horizon, so the events cut off
+        # beyond it do not change the area between two decisions
+        for prev, tr in zip(self.decisions, self.decisions[1:]):
+            tr.reward = area_under_bound(trace.events, prev.clock, tr.clock)
 
         constant = horizon * opt_value if not math.isnan(opt_value) else 0.0
         return SolveResult(

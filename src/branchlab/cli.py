@@ -42,7 +42,7 @@ from .instances import (
 from .observation import CATALOG_VERSION, state_digest
 from .rules import STANDARD_POLICIES, HybridExpertPolicy
 from .selection import EnvelopeConfig, compute_returns, select_top, train_envelope
-from .trajectories import read_episode_file, write_episode_file
+from .trajectories import read_episode_file, read_states, write_episode_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,20 +272,20 @@ def _load_dataset(cfg: Config):
     _check_stamp(cfg, manifest, "selected dataset")
     lines = (root / "selected" / "dataset.jsonl").read_text().splitlines()
     rows = [json.loads(line) for line in lines]
-    # each episode is read once, however many of its states were selected
-    transitions = {
-        name: read_episode_file(root / "episodes" / f"{name}.jsonl").transitions
+    # each episode's states are read once; only the selected ones are checked
+    states = {
+        name: read_states(root / "episodes" / f"{name}.jsonl")
         for name in sorted({row["episode"] for row in rows})
     }
     batch = []
     for row in rows:
-        ts, t, cand = transitions[row["episode"]], int(row["t"]), tuple(row["set"])
-        if not (0 <= t < len(ts) and state_digest(ts[t].obs, cand) == row["obs"]):
+        ss, t, cand = states[row["episode"]], int(row["t"]), tuple(row["set"])
+        if not (0 <= t < len(ss) and state_digest(ss[t], cand) == row["obs"]):
             raise ValueError(
                 f"dataset row for episode {row['episode']!r}, transition {t}: "
                 "the episode's state does not match the row's digest"
             )
-        batch.append((ts[t].obs, cand, int(row["a"])))
+        batch.append((ss[t], cand, int(row["a"])))
     return batch
 
 

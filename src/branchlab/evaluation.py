@@ -4,6 +4,11 @@ Each instance is solved by an independent engine seeded from (seed, instance
 name), so pseudo-clock results are identical for any worker count. Reports
 order rows by instance name and serialize floats via repr, which makes the
 JSON and CSV forms byte-stable across identical runs.
+
+A report row is an ``EvalRow`` and its fields are the schema: the JSON form
+holds every field and reads back into an equal row, and the CSV form holds
+every field but the dual-bound series (``trace``, ``horizon``), in field
+order. A new field reaches both forms by being declared.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .bnb import Budget, solve
@@ -24,14 +29,16 @@ from .rules import BranchingPolicy
 
 @dataclass
 class EvalRow:
+    """One instance's evaluation result. The defaults are an error row's."""
+
     instance: str
     status: str
-    dual_integral: float
-    cumulative_reward: float
-    reward_constant: float
-    nodes: int
-    clock_used: float
-    lp_iterations: int
+    dual_integral: float = math.nan
+    cumulative_reward: float = math.nan
+    reward_constant: float = math.nan
+    nodes: int = 0
+    clock_used: float = 0.0
+    lp_iterations: int = 0
     trace: list[tuple[float, float]] = field(default_factory=list)
     horizon: float = 0.0
     error: str = ""
@@ -88,12 +95,7 @@ def _evaluate_one(payload) -> EvalRow:
             horizon=result.trace.horizon,
         )
     except Exception as exc:               # per-instance failures become error rows
-        return EvalRow(
-            instance=inst.name, status="error",
-            dual_integral=math.nan, cumulative_reward=math.nan,
-            reward_constant=math.nan, nodes=0, clock_used=0.0,
-            lp_iterations=0, error=f"{type(exc).__name__}: {exc}",
-        )
+        return EvalRow(instance=inst.name, status="error", error=f"{type(exc).__name__}: {exc}")
 
 
 def evaluate_policy(
@@ -131,54 +133,35 @@ def report_to_json(report: EvalReport) -> str:
     payload = {
         "fingerprint": report.fingerprint,
         "aggregate": report.aggregate(),
-        "rows": [
-            {
-                "instance": r.instance,
-                "status": r.status,
-                "dual_integral": r.dual_integral,
-                "cumulative_reward": r.cumulative_reward,
-                "reward_constant": r.reward_constant,
-                "nodes": r.nodes,
-                "clock_used": r.clock_used,
-                "lp_iterations": r.lp_iterations,
-                "horizon": r.horizon,
-                "trace": r.trace,
-                "error": r.error,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
     }
     return json.dumps(payload, sort_keys=True, allow_nan=True)
 
 
 def report_from_json(text: str) -> EvalReport:
+    """Inverse of ``report_to_json``; a field missing from a row takes its
+    default, and a key that is not a field is a ValueError."""
     payload = json.loads(text)
-    rows = [
-        EvalRow(
-            instance=d["instance"], status=d["status"],
-            dual_integral=d["dual_integral"], cumulative_reward=d["cumulative_reward"],
-            reward_constant=d["reward_constant"], nodes=d["nodes"],
-            clock_used=d["clock_used"], lp_iterations=d["lp_iterations"],
-            trace=[(c, z) for c, z in d.get("trace", [])],
-            horizon=d.get("horizon", 0.0), error=d.get("error", ""),
-        )
-        for d in payload["rows"]
-    ]
+    try:
+        rows = [
+            EvalRow(**dict(d, trace=[(c, z) for c, z in d.get("trace", [])]))
+            for d in payload["rows"]
+        ]
+    except TypeError as exc:
+        raise ValueError(f"report row: {exc}") from None
     return EvalReport(payload["fingerprint"]["policy"], rows, payload["fingerprint"])
+
+
+# every row field but the dual-bound series, in field order
+_CSV_FIELDS = tuple(f.name for f in fields(EvalRow) if f.name not in ("trace", "horizon"))
 
 
 def report_to_csv(report: EvalReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["instance", "status", "dual_integral", "cumulative_reward",
-         "reward_constant", "nodes", "clock_used", "lp_iterations", "error"]
-    )
+    writer.writerow(_CSV_FIELDS)
     for r in report.rows:
-        writer.writerow(
-            [r.instance, r.status, repr(r.dual_integral), repr(r.cumulative_reward),
-             repr(r.reward_constant), r.nodes, repr(r.clock_used), r.lp_iterations, r.error]
-        )
+        writer.writerow([getattr(r, name) for name in _CSV_FIELDS])
     return buf.getvalue()
 
 
@@ -288,16 +271,7 @@ def compare_policies(
     for policy in policies:
         report = evaluate_policy(policy, instances, budget, workers=workers, seed=seed)
         agg = report.aggregate()
-        rows.append(
-            {
-                "policy": policy.name,
-                "mean_reward": agg["mean_reward"],
-                "median_reward": agg["median_reward"],
-                "mean_integral": agg["mean_integral"],
-                "mean_nodes": agg["mean_nodes"],
-                "evaluated": agg["evaluated"],
-                "report": report,
-            }
-        )
+        del agg["instances"]
+        rows.append({"policy": policy.name, **agg, "report": report})
     rows.sort(key=lambda r: (-(r["mean_reward"] if math.isfinite(r["mean_reward"]) else -math.inf), r["policy"]))
     return rows

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,16 +33,11 @@ class InstanceValidationError(ValueError):
         self.field_path = field_path
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-def _frozen_int(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    a.flags.writeable = False
-    return a
+# the array fields of MilpInstance and their dtypes; the constructor freezes them
+_ARRAYS = {
+    "objective": np.float64, "row_idx": np.int64, "col_idx": np.int64, "coef": np.float64,
+    "rhs": np.float64, "lower": np.float64, "upper": np.float64,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,19 +62,14 @@ class MilpInstance:
     upper: np.ndarray              # (n,), +inf allowed
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _frozen(self.objective))
-        object.__setattr__(self, "row_idx", _frozen_int(self.row_idx))
-        object.__setattr__(self, "col_idx", _frozen_int(self.col_idx))
-        object.__setattr__(self, "coef", _frozen(self.coef))
-        object.__setattr__(self, "rhs", _frozen(self.rhs))
-        object.__setattr__(self, "lower", _frozen(self.lower))
-        object.__setattr__(self, "upper", _frozen(self.upper))
+        for name, dtype in _ARRAYS.items():
+            a = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __reduce__(self):
         # unpickled arrays come back writeable; the constructor freezes them
-        return (MilpInstance, (self.name, self.num_vars, self.num_cons, self.num_int,
-                               self.objective, self.row_idx, self.col_idx, self.coef,
-                               self.rhs, self.lower, self.upper))
+        return (MilpInstance, tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def nnz(self) -> int:
@@ -93,19 +83,11 @@ class MilpInstance:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MilpInstance):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.num_vars == other.num_vars
-            and self.num_cons == other.num_cons
-            and self.num_int == other.num_int
-            and np.array_equal(self.objective, other.objective)
-            and np.array_equal(self.row_idx, other.row_idx)
-            and np.array_equal(self.col_idx, other.col_idx)
-            and np.array_equal(self.coef, other.coef)
-            and np.array_equal(self.rhs, other.rhs)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-        )
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if f.name in _ARRAYS else a == b):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -167,19 +149,7 @@ def validate_instance(inst: MilpInstance) -> None:
 
 def lp_relaxation(inst: MilpInstance) -> MilpInstance:
     """Same instance with integrality dropped (num_int = 0); input unmodified."""
-    return MilpInstance(
-        name=inst.name,
-        num_vars=inst.num_vars,
-        num_cons=inst.num_cons,
-        num_int=0,
-        objective=inst.objective,
-        row_idx=inst.row_idx,
-        col_idx=inst.col_idx,
-        coef=inst.coef,
-        rhs=inst.rhs,
-        lower=inst.lower,
-        upper=inst.upper,
-    )
+    return replace(inst, num_int=0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import FEAS_TOL, LpStatus
+from .simplex import FEAS_TOL, INT_TOL, BoundOverride, LpStatus
 
 PC_EPSILON = 1e-6
 INFEASIBLE_GAIN = 1e6     # stand-in objective gain for an infeasible child
@@ -157,6 +157,14 @@ def ac_select(inst, x, candidates, weights) -> int | None:
     return int(cand[int(np.argmax(scores))])
 
 
+def _ac_or_most_infeasible(ctx, weights) -> int:
+    """Active-constraint choice at the node, else the most-infeasible candidate."""
+    choice = ac_select(ctx.instance, ctx.lp.x, ctx.candidates, weights)
+    if choice is None:
+        return most_infeasible_select(ctx.lp.x, ctx.candidates)
+    return choice
+
+
 @dataclass(frozen=True)
 class HybridConfig:
     db0: float              # dual-bound threshold
@@ -236,10 +244,7 @@ class ActiveConstraintPolicy(BranchingPolicy):
         self.weights = weights
 
     def select(self, ctx) -> int:
-        choice = ac_select(ctx.instance, ctx.lp.x, ctx.candidates, self.weights)
-        if choice is None:
-            return most_infeasible_select(ctx.lp.x, ctx.candidates)
-        return choice
+        return _ac_or_most_infeasible(ctx, self.weights)
 
 
 class RandomPolicy(BranchingPolicy):
@@ -293,18 +298,12 @@ class HybridExpertPolicy(BranchingPolicy):
         self.rule_counts[rule] += 1
         if rule == "pc":
             return pseudocost_select(ctx.lp.x, ctx.candidates, ctx.pseudocosts, self.epsilon)
-        weights = tuple(ctx.rng.uniform(size=4))
-        choice = ac_select(ctx.instance, ctx.lp.x, ctx.candidates, weights)
-        if choice is None:
-            return most_infeasible_select(ctx.lp.x, ctx.candidates)
-        return choice
+        return _ac_or_most_infeasible(ctx, tuple(ctx.rng.uniform(size=4)))
 
 
 def _dive_estimate(rctx) -> float | None:
     """Most-infeasible rounding dive from the root; returns an incumbent
     value estimate or None when the dive dead-ends."""
-    from .simplex import BoundOverride, INT_TOL
-
     inst = rctx.instance
     lp = rctx.root
     overrides: tuple[BoundOverride, ...] = ()

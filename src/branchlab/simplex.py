@@ -115,11 +115,10 @@ class _State:
 class SimplexSolver:
     """Reusable solver context for one instance; caches the dense matrix."""
 
-    def __init__(self, inst: MilpInstance, feas_tol: float = FEAS_TOL):
+    def __init__(self, inst: MilpInstance):
         self.inst = inst
         self.n = inst.num_vars
         self.m = inst.num_cons
-        self.feas_tol = feas_tol
         N = self.n + self.m
         W = np.zeros((self.m, N))
         if inst.nnz:
@@ -199,7 +198,7 @@ class SimplexSolver:
 
         state = _State(self.W, self.b, lb, ub, basis, stat, x, np.eye(m))
 
-        violated = np.where(slack < -self.feas_tol)[0]
+        violated = np.where(slack < -FEAS_TOL)[0]
         if len(violated) > 0:
             state, status = self._phase_one(state, violated, iter_limit)
             if status is not LpStatus.OPTIMAL:
@@ -236,7 +235,7 @@ class SimplexSolver:
         if status is LpStatus.UNBOUNDED:
             raise NumericalInstabilityError("phase-1 objective reported unbounded")
         art_sum = float(st1.x[n + m:].sum())
-        if art_sum > self.feas_tol * self._bscale:
+        if art_sum > FEAS_TOL * self._bscale:
             return st1, LpStatus.INFEASIBLE
         # pin artificials at zero; any still basic are degenerate and immobile
         st1.lb[n + m:] = 0.0
@@ -263,8 +262,8 @@ class SimplexSolver:
         self._set_basic_values(state)
 
         xb = state.x[basis]
-        below = xb < state.lb[basis] - self.feas_tol
-        above = xb > state.ub[basis] + self.feas_tol
+        below = xb < state.lb[basis] - FEAS_TOL
+        above = xb > state.ub[basis] + FEAS_TOL
         n_viol = int(below.sum() + above.sum())
         if n_viol == 0:
             return self._phase_two(state, iter_limit)
@@ -306,8 +305,8 @@ class SimplexSolver:
         if status is LpStatus.UNBOUNDED:
             raise NumericalInstabilityError("bound repair reported unbounded")
         reached = (
-            state.x[k] <= true_ub + self.feas_tol if above
-            else state.x[k] >= true_lb - self.feas_tol
+            state.x[k] <= true_ub + FEAS_TOL if above
+            else state.x[k] >= true_lb - FEAS_TOL
         )
         if not reached:
             return LpStatus.INFEASIBLE
@@ -443,7 +442,7 @@ class SimplexSolver:
     def _primal_feasible(self, state) -> bool:
         n, m = self.n, self.m
         x = state.x[: n + m]
-        tol = self.feas_tol * self._bscale
+        tol = FEAS_TOL * self._bscale
         if np.any(x < state.lb[: n + m] - tol) or np.any(x > state.ub[: n + m] + tol):
             return False
         if m == 0:

@@ -15,6 +15,10 @@ state digest (``state_digest``), candidate set, action, reward and clock.
 instance shares it. An episode with no decisions has no ``.npz``. Rows
 written before the format dropped next-state links also carry
 ``next_obs``/``next_set``/``d``; the reader ignores them.
+
+``read_episode_file`` reads both files and checks every state against its
+row's digest; ``read_states`` reads the states alone, for a reader that
+checks only the states it uses.
 """
 
 from __future__ import annotations
@@ -111,8 +115,10 @@ def write_episode_file(path: str | Path, episode: Episode, provenance: dict | No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_states(npz: Path, count: int) -> list[BipartiteObservation]:
-    """The ``count`` states stored in ``npz``, as read-only views."""
+def read_states(path: str | Path) -> list[BipartiteObservation]:
+    """The states stored for the episode file at ``path``, in decision order,
+    as read-only views. Nothing here checks them against the episode's rows."""
+    npz = observations_path(path)
     try:
         with np.load(npz) as z:
             var, cons, *edges = (z[k] for k in ("var", "cons", *_EDGES))
@@ -120,9 +126,9 @@ def _read_states(npz: Path, count: int) -> list[BipartiteObservation]:
         raise ValueError(f"{npz}: {exc}") from None
     for a in (var, cons, *edges):
         a.flags.writeable = False
-    if len(var) != count or len(cons) != count:
-        raise ValueError(f"{npz}: holds {len(var)} states for {count} transitions")
-    return [BipartiteObservation(var[t], cons[t], *edges) for t in range(count)]
+    if len(var) != len(cons):
+        raise ValueError(f"{npz}: holds {len(var)} variable and {len(cons)} constraint slices")
+    return [BipartiteObservation(var[t], cons[t], *edges) for t in range(len(var))]
 
 
 def read_episode_file(path: str | Path) -> Episode:
@@ -147,7 +153,10 @@ def read_episode_file(path: str | Path) -> Episode:
         opt_value=math.nan if header.get("opt_value") is None else float(header["opt_value"]),
     )
     rows = [json.loads(line) for line in lines[1:]]
-    states = _read_states(observations_path(path), len(rows)) if rows else []
+    states = read_states(path) if rows else []
+    if len(states) != len(rows):
+        raise ValueError(f"{observations_path(path)}: holds {len(states)} states "
+                         f"for {len(rows)} transitions")
     for t, row in enumerate(rows):
         if state_digest(states[t], row["set"]) != row["obs"]:
             raise ChainError(episode.instance, t, "stored state does not match its digest")

@@ -221,3 +221,20 @@ def test_broken_episode_artifacts_are_data_errors(tmp_path, capsys):
     episode.write_text("")
     assert _run("select", ov) == 2
     assert "empty episode file" in capsys.readouterr().err
+
+
+def test_train_digests_only_the_selected_states(tmp_path, monkeypatch):
+    from branchlab import cli, trajectories
+
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 3, "train.epochs": 1})
+    for command in ("generate", "collect", "select"):
+        assert _run(command, ov) == 0, command
+    calls = []
+    for module in (cli, trajectories):
+        digest = module.state_digest
+        monkeypatch.setattr(module, "state_digest",
+                            lambda obs, cand, digest=digest: calls.append(1) or digest(obs, cand))
+    assert _run("train", ov) == 0
+    rows = (root / "selected" / "dataset.jsonl").read_text().splitlines()
+    assert len(calls) == len(rows)

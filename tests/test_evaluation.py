@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from branchlab import gnn
 from branchlab.bnb import Budget, DualTrace, dual_integral
 from branchlab.evaluation import (
+    EvalRow,
     compare_policies,
     evaluate_policy,
     report_from_json,
@@ -103,6 +106,31 @@ def test_report_json_roundtrip():
     report = evaluate_policy(MostInfeasiblePolicy(), instances, Budget(max_nodes=40))
     again = report_from_json(report_to_json(report))
     assert report_to_json(again) == report_to_json(report)
+
+
+def test_report_forms_follow_the_row_fields():
+    """The JSON rows hold every ``EvalRow`` field and read back into equal
+    rows, error rows included; the CSV holds every field but the dual-bound
+    series, in field order."""
+
+    class FailsOnOne(MostInfeasiblePolicy):
+        def select(self, ctx):
+            if ctx.instance.name.endswith("001"):
+                raise RuntimeError("boom")
+            return super().select(ctx)
+
+    report = evaluate_policy(FailsOnOne(), _instances("multi-knapsack", 3), Budget(max_nodes=40))
+    assert [r.status == "error" for r in report.rows] == [False, True, False]
+    names = [f.name for f in fields(EvalRow)]
+    text = report_to_json(report)
+    assert all(sorted(row) == sorted(names) for row in json.loads(text)["rows"])
+    # repr shows every field, the trace pairs' type and a NaN as NaN
+    assert repr(report_from_json(text).rows) == repr(report.rows)
+    with pytest.raises(ValueError, match="unexpected keyword argument 'nodez'"):
+        report_from_json(text.replace('"nodes"', '"nodez"'))
+    csv_lines = report_to_csv(report).splitlines()
+    assert csv_lines[0].split(",") == [n for n in names if n not in ("trace", "horizon")]
+    assert len(csv_lines) == 1 + len(report.rows)
 
 
 def test_single_checkpoint_selected(tmp_path):

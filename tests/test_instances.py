@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -156,3 +157,15 @@ def test_pickle_roundtrip_stays_read_only():
     for name in ("objective", "row_idx", "col_idx", "coef", "rhs", "lower", "upper"):
         assert not getattr(again, name).flags.writeable, name
         assert getattr(again, name).dtype == getattr(inst, name).dtype, name
+
+
+def test_every_field_takes_part_in_equality():
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=6, m=2, seed=1))
+    assert replace(inst) == inst
+    for f in fields(inst):
+        value = getattr(inst, f.name)
+        if isinstance(value, str):
+            changed = value + "x"
+        else:
+            changed = value + 1         # int fields and every array's entries
+        assert replace(inst, **{f.name: changed}) != inst, f.name
