@@ -14,8 +14,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+
+# The matrices are small, so BLAS threads only spin and wait on each other,
+# the more so on a busy machine. One thread each unless the user chose a
+# count; this has to run before numpy loads its BLAS (``import branchlab``
+# loads nothing).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -16,13 +16,30 @@ LAPACK call on the same matrix. One entry bounds the memory to one m x m
 array, where an inverse kept on every solution would multiply it by the open
 nodes.
 
-Each pivot prices and updates the basis inverse with whole-array numpy
-operations, but scans the rows for the leaving variable (``_ratio_test``) on
-plain Python floats taken once per pivot with ``tolist()``. The scan's tie
-rules are sequential, so it stays a loop: on numpy scalars each row would cost
-several boxed scalar operations, and a vectorized scan is slower on the 3-row
-LPs that dominate branch-and-bound, where numpy's per-call cost outweighs the
-loop. Python floats follow the same IEEE arithmetic as numpy's float64.
+Each pivot runs a few whole-array numpy operations (the reduced costs, the
+entering column, the point and the rank-1 update of the basis inverse) and
+keeps everything else off numpy, since on the 3-row LPs that dominate
+branch-and-bound numpy's cost per call, not its arithmetic, sets the time:
+
+- pricing (``_price``) scores every column ``_SIGN[stat] * d`` (``|d|`` for
+  a free column) and takes one ``argmax``;
+- the leaving row comes from a scan of the rows on plain Python floats
+  (``_ratio_test``), taken once per pivot with ``tolist()``; its tie rules
+  are sequential, so it stays a loop, which beats a vectorized scan on short
+  LPs;
+- the basis-side data that scan reads (the basis and its lower and upper
+  bounds, as lists) and ``cost[basis]`` (an array, for the duals) are taken
+  once per call of ``_iterate`` and updated in place by each pivot, as the
+  bounds do not move within a call.
+
+Exactness contract: every pivot, iteration count and returned field is the
+same, bit for bit, as with whole-array code that gathers everything afresh
+on each pivot. Pricing picks the column a boolean-mask rule picks: an
+eligible score equals ``|d|`` exactly, any other is at most ``_DUAL_TOL``,
+and ``argmax`` keeps the first of equal scores. Everything else makes the
+same floating-point operations on the same values, and Python floats follow
+the same IEEE arithmetic as numpy's float64. ``tests/oracles.py`` keeps the
+earlier pricing rule and ratio test as references.
 """
 
 from __future__ import annotations
@@ -44,6 +61,10 @@ _REFACTOR_EVERY = 50
 _DRIFT_TOL = 1e-9
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+# pricing sign per status: a column at its lower bound improves when d < 0,
+# one at its upper bound when d > 0, a basic column never; a free column
+# improves either way and is scored |d| apart from this table
+_SIGN = np.array([-1.0, 1.0, 0.0, 1.0])
 
 
 class LpStatus(enum.Enum):
@@ -153,7 +174,7 @@ class SimplexSolver:
                 if ov.value > self.ub0[ov.var] + 1e-9:
                     raise ValueError(f"override loosens upper bound of variable {ov.var}")
                 ub[ov.var] = min(ub[ov.var], ov.value)
-        if np.any(lb > ub + 1e-12):
+        if (lb > ub + 1e-12).any():
             return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), 0)
 
         if warm is not None and self.m > 0 and len(warm.basis) == self.m:
@@ -247,9 +268,10 @@ class SimplexSolver:
         """Warm start from a parent basis; returns None to fall back to cold."""
         n, m = self.n, self.m
         N = n + m
-        basis = np.array(warm.basis, dtype=np.int64)
-        if len(np.unique(basis)) != m or basis.min() < 0 or basis.max() >= N:
+        wb = warm.basis
+        if len(set(wb)) != m or min(wb) < 0 or max(wb) >= N:
             return None
+        basis = np.array(wb, dtype=np.int64)
         stat, x = _nonbasic_start(lb, ub, basis, warm.at_upper)
         if warm.basis != self._warm_basis:
             try:
@@ -261,17 +283,15 @@ class SimplexSolver:
         state = _State(self.W, self.b, lb, ub, basis, stat, x, Binv)
         self._set_basic_values(state)
 
-        xb = state.x[basis]
-        below = xb < state.lb[basis] - FEAS_TOL
-        above = xb > state.ub[basis] + FEAS_TOL
-        n_viol = int(below.sum() + above.sum())
-        if n_viol == 0:
+        xb, ubb = x[basis], ub[basis]
+        viol = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ubb + FEAS_TOL))
+        if len(viol) == 0:
             return self._phase_two(state, iter_limit)
-        if n_viol > 1:
+        if len(viol) > 1:
             return None
-        row = int(np.where(below | above)[0][0])
-        k = int(basis[row])
-        status = self._repair_single(state, k, bool(above[row]), iter_limit)
+        row = int(viol[0])
+        above = xb.item(row) > ubb.item(row) + FEAS_TOL
+        status = self._repair_single(state, wb[row], above, iter_limit)
         if status is LpStatus.ITERATION_LIMIT:
             return LpSolution(LpStatus.ITERATION_LIMIT, None, math.inf, (), state.iters)
         if status is LpStatus.INFEASIBLE:
@@ -339,70 +359,76 @@ class SimplexSolver:
         bland = False
         stall = 0
         stall_limit = 3 * (self.n + self.m)
-        prev_obj = float(cost @ state.x)
+        W, b, x, stat, basis = state.W, state.b, state.x, state.stat, state.basis
+        # bounds do not move within one call (a repair moves them around it)
+        lb, ub = state.lb.tolist(), state.ub.tolist()
+        # basis-side state, updated in place by each pivot
+        basis_l = basis.tolist()
+        lbb = [lb[v] for v in basis_l]
+        ubb = [ub[v] for v in basis_l]
+        cb = cost[basis]
+        free = (stat == _FREE).nonzero()[0].tolist()
+        prev_obj = float(cost @ x)
         while True:
             if stop_var is not None:
                 k, target, above = stop_var
-                if (above and state.x[k] <= target + 1e-12) or (
-                    not above and state.x[k] >= target - 1e-12
+                if (above and x.item(k) <= target + 1e-12) or (
+                    not above and x.item(k) >= target - 1e-12
                 ):
                     return LpStatus.OPTIMAL
             if state.iters >= iter_limit:
                 return LpStatus.ITERATION_LIMIT
 
-            y = cost[state.basis] @ state.Binv
-            d = cost - y @ state.W
-            can_inc = ((state.stat == _AT_LOWER) | (state.stat == _FREE)) & (d < -_DUAL_TOL)
-            can_dec = ((state.stat == _AT_UPPER) | (state.stat == _FREE)) & (d > _DUAL_TOL)
-            eligible = np.where(can_inc | can_dec)[0]
-            if len(eligible) == 0:
+            Binv = state.Binv
+            d = cost - (cb @ Binv) @ W
+            e, direction = _price(d, stat, free, bland)
+            if e < 0:
                 return LpStatus.OPTIMAL
-            if bland:
-                e = int(eligible[0])
-            else:
-                e = int(eligible[np.argmax(np.abs(d[eligible]))])
-            direction = 1.0 if can_inc[e] else -1.0
 
-            col = state.Binv @ state.W[:, e]
+            col = Binv @ W[:, e]
             step = direction * col          # basic values move by -t * step
-            basis = state.basis
+            step_l = step.tolist()
             t_best, leave_row = _ratio_test(
-                basis.tolist(), state.x[basis].tolist(), state.lb[basis].tolist(),
-                state.ub[basis].tolist(), step.tolist(),
-                float(state.ub[e] - state.lb[e]), bland,
+                basis_l, x[basis].tolist(), lbb, ubb, step_l, ub[e] - lb[e], bland,
             )
             if not math.isfinite(t_best):
                 return LpStatus.UNBOUNDED
 
-            state.x[e] += direction * t_best
-            state.x[basis] -= t_best * step
+            x[e] = x.item(e) + direction * t_best
+            x[basis] -= t_best * step
             if leave_row < 0:
-                state.stat[e] = _AT_UPPER if state.stat[e] == _AT_LOWER else _AT_LOWER
-                state.x[e] = state.ub[e] if state.stat[e] == _AT_UPPER else state.lb[e]
-            else:
-                lv = int(basis[leave_row])
-                if step[leave_row] > 0:
-                    state.stat[lv] = _AT_LOWER
-                    state.x[lv] = state.lb[lv]
+                # only a column at a finite bound flips: up from lower, down from upper
+                if direction > 0:
+                    stat[e], x[e] = _AT_UPPER, ub[e]
                 else:
-                    state.stat[lv] = _AT_UPPER
-                    state.x[lv] = state.ub[lv]
-                basis[leave_row] = e
-                state.stat[e] = _BASIC
+                    stat[e], x[e] = _AT_LOWER, lb[e]
+            else:
+                if step_l[leave_row] > 0:
+                    stat[basis_l[leave_row]] = _AT_LOWER
+                    x[basis_l[leave_row]] = lbb[leave_row]
+                else:
+                    stat[basis_l[leave_row]] = _AT_UPPER
+                    x[basis_l[leave_row]] = ubb[leave_row]
+                basis[leave_row] = basis_l[leave_row] = e
+                lbb[leave_row], ubb[leave_row] = lb[e], ub[e]
+                cb[leave_row] = cost[e]
+                stat[e] = _BASIC
+                if e in free:
+                    free.remove(e)
                 # |col[leave_row]| > _PIVOT_TOL: the ratio test skips smaller entries
-                prow = state.Binv[leave_row] / col[leave_row]
-                state.Binv -= np.outer(col, prow)
-                state.Binv[leave_row] = prow
+                prow = Binv[leave_row] / col[leave_row]
+                Binv -= col[:, None] * prow
+                Binv[leave_row] = prow
                 state.pivots += 1
                 # W x = b holds exactly in real arithmetic; refactor on drift
                 if (
                     state.pivots % _REFACTOR_EVERY == 0
-                    or np.abs(state.W @ state.x - state.b).max() > _DRIFT_TOL * self._bscale
+                    or np.abs(W @ x - b).max() > _DRIFT_TOL * self._bscale
                 ):
                     self._refactor(state)
 
             state.iters += 1
-            obj = float(cost @ state.x)
+            obj = float(cost @ x)
             if obj < prev_obj - 1e-12 * (1.0 + abs(prev_obj)):
                 stall = 0
                 prev_obj = obj
@@ -413,8 +439,11 @@ class SimplexSolver:
 
     def _phase_two(self, state, iter_limit) -> LpSolution:
         n, m = self.n, self.m
-        cost = np.zeros(state.W.shape[1])
-        cost[: n + m] = self.cost
+        if state.W.shape[1] == n + m:
+            cost = self.cost
+        else:                               # zero cost on the artificial columns
+            cost = np.zeros(state.W.shape[1])
+            cost[: n + m] = self.cost
         status = self._iterate(cost, state, iter_limit)
 
         if status is LpStatus.UNBOUNDED:
@@ -426,12 +455,11 @@ class SimplexSolver:
             )
 
         self._refactor(state)
-        if not self._primal_feasible(state):
-            raise NumericalInstabilityError("optimal point failed the feasibility audit")
-        x = state.x[:n].copy()
-        obj = float(self.inst.objective @ x)
         y = cost[state.basis] @ state.Binv
         reduced = self.cost[:n] - y @ self.W[:, :n]
+        self._audit(state, y, reduced)
+        x = state.x[:n].copy()
+        obj = float(self.inst.objective @ x)
         at_upper = frozenset(np.flatnonzero(state.stat[: n + m] == _AT_UPPER).tolist())
         return LpSolution(
             LpStatus.OPTIMAL, x, obj,
@@ -439,15 +467,23 @@ class SimplexSolver:
             duals=y.copy(), reduced_costs=reduced, at_upper=at_upper,
         )
 
-    def _primal_feasible(self, state) -> bool:
+    def _audit(self, state, y, reduced) -> None:
+        """Check an optimal point before it is returned, once per LP.
+
+        The feasibility tests are comparisons, which are all False for NaN,
+        so the point, duals and reduced costs are first checked to be finite.
+        """
         n, m = self.n, self.m
+        if not np.isfinite(np.concatenate((state.x, y, reduced))).all():
+            raise NumericalInstabilityError("optimal point, duals or reduced costs not finite")
         x = state.x[: n + m]
         tol = FEAS_TOL * self._bscale
-        if np.any(x < state.lb[: n + m] - tol) or np.any(x > state.ub[: n + m] + tol):
-            return False
-        if m == 0:
-            return True
-        return not np.any(self.W[:, :n] @ x[:n] > self.b + tol)
+        if (
+            (x < state.lb[: n + m] - tol).any()
+            or (x > state.ub[: n + m] + tol).any()
+            or (self.W[:, :n] @ x[:n] > self.b + tol).any()
+        ):
+            raise NumericalInstabilityError("optimal point failed the feasibility audit")
 
 
 def _nonbasic_start(lb, ub, basis, at_upper):
@@ -456,23 +492,44 @@ def _nonbasic_start(lb, ub, basis, at_upper):
     A nonbasic variable sits at its upper bound if it is in ``at_upper`` (a
     parent solution's nonbasic-at-upper set) and that bound is finite,
     otherwise at its finite lower bound, otherwise at its finite upper bound,
-    otherwise free at 0. Basic values are left at 0 for the caller to compute.
+    otherwise free at 0. Basic values are left for the caller to compute.
     """
-    in_basis = np.zeros(len(lb), dtype=bool)
-    in_basis[basis] = True
     prefer_upper = np.zeros(len(lb), dtype=bool)
     prefer_upper[list(at_upper)] = True
-    fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
-    upper = ~in_basis & fin_ub & (prefer_upper | ~fin_lb)
-    lower = ~in_basis & fin_lb & ~upper
-    stat = np.full(len(lb), _FREE, dtype=np.int8)
-    stat[in_basis] = _BASIC
-    stat[lower] = _AT_LOWER
-    stat[upper] = _AT_UPPER
-    x = np.zeros(len(lb))
-    x[lower] = lb[lower]
-    x[upper] = ub[upper]
+    fin_lb = np.isfinite(lb)
+    upper = np.isfinite(ub) & (prefer_upper | ~fin_lb)
+    stat = np.where(upper, _AT_UPPER, np.where(fin_lb, _AT_LOWER, _FREE)).astype(np.int8)
+    stat[basis] = _BASIC
+    x = np.where(upper, ub, np.where(fin_lb, lb, 0.0))
     return stat, x
+
+
+def _price(d, stat, free, bland) -> tuple[int, float]:
+    """The entering column of one pivot and its direction of motion.
+
+    ``d`` holds the reduced costs, ``stat`` the status codes, and ``free``
+    the nonbasic free columns (those with status ``_FREE``). A column's score
+    is ``_SIGN[stat] * d``, and ``|d|`` for a free column: an eligible
+    column (one whose move improves the objective by more than
+    ``_DUAL_TOL``) scores exactly ``|d|``, any other at most ``_DUAL_TOL``.
+    Dantzig's rule takes the first column of largest score, Bland's the first
+    eligible one; a NaN reduced cost is never eligible. The column increases
+    (direction +1) when its ``d`` is negative. Returns ``(-1, 0.0)`` when no
+    column is eligible.
+    """
+    score = _SIGN.take(stat) * d
+    if free:
+        score[free] = np.abs(d[free])
+    if bland:
+        e = int((score > _DUAL_TOL).argmax())
+    else:
+        e = int(score.argmax())
+        if score.item(e) != score.item(e):     # argmax stops at the first NaN
+            score = np.fmax(score, 0.0)
+            e = int(score.argmax())
+    if not score.item(e) > _DUAL_TOL:
+        return -1, 0.0
+    return e, (1.0 if d.item(e) < 0.0 else -1.0)
 
 
 def _ratio_test(basis, xb, lbb, ubb, step, own, bland) -> tuple[float, int]:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own solver paths: LP optima come from
 dense vertex enumeration, MILP optima from exhaustive enumeration of binary
-assignments or of small integer boxes, the simplex ratio test from a plain numpy-scalar loop, and
-statistical claims from an exact binomial tail.
+assignments or of small integer boxes, the simplex ratio test from a plain
+numpy-scalar loop, simplex pricing from the boolean-mask rule it replaced,
+and statistical claims from an exact binomial tail.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from branchlab.simplex import _AT_LOWER, _AT_UPPER, _FREE
 
 
 def lp_vertex_optimum(c, A, b, l, u, tol=1e-9):
@@ -87,6 +90,30 @@ def ratio_test_reference(step, basis, x, lb, ub, own, bland, pivot_tol):
             elif abs(ci) > abs(step[leave_row]):
                 leave_row = i
     return t_best, leave_row
+
+
+def pricing_reference(d, stat, bland, dual_tol):
+    """Simplex pricing with boolean masks: the solver's original rule, kept as
+    the reference for its signed-score rewrite.
+
+    A column may increase if it sits at its lower bound or is free and its
+    reduced cost ``d`` is below ``-dual_tol``; it may decrease if it sits at
+    its upper bound or is free and ``d`` is above ``dual_tol``. Dantzig's rule
+    takes the eligible column of largest ``|d|`` (the first on ties), Bland's
+    the first eligible column. Returns ``(e, direction)``, or ``(-1, 0.0)``
+    when no column is eligible.
+    """
+    can_inc = ((stat == _AT_LOWER) | (stat == _FREE)) & (d < -dual_tol)
+    can_dec = ((stat == _AT_UPPER) | (stat == _FREE)) & (d > dual_tol)
+    eligible = np.where(can_inc | can_dec)[0]
+    if len(eligible) == 0:
+        return -1, 0.0
+    if bland:
+        e = int(eligible[0])
+    else:
+        e = int(eligible[np.argmax(np.abs(d[eligible]))])
+    direction = 1.0 if can_inc[e] else -1.0
+    return e, direction
 
 
 def brute_force_binary(inst, tol=1e-9):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import branchlab
 from branchlab.cli import main
 from branchlab.config import Config, ConfigError
 
@@ -238,3 +242,31 @@ def test_train_digests_only_the_selected_states(tmp_path, monkeypatch):
     assert _run("train", ov) == 0
     rows = (root / "selected" / "dataset.jsonl").read_text().splitlines()
     assert len(calls) == len(rows)
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_import(code, **env):
+    """Run ``code`` in a fresh interpreter that sees this checkout's package
+    and no BLAS thread variables except ``env``; return its stdout as JSON."""
+    package_parent = Path(branchlab.__file__).resolve().parent.parent
+    child_env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    child_env.update(env, PYTHONPATH=str(package_parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env)
+    return json.loads(out.stdout)
+
+
+def test_import_branchlab_does_not_load_numpy():
+    loaded = _child_import(
+        "import json, sys, branchlab; print(json.dumps('numpy' in sys.modules))")
+    assert loaded is False
+
+
+def test_cli_import_sets_only_unset_blas_thread_variables():
+    got = _child_import(
+        "import json, os, branchlab.cli\n"
+        f"print(json.dumps({{v: os.environ.get(v) for v in {_BLAS_VARS!r}}}))",
+        OMP_NUM_THREADS="3")
+    assert got == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}

@@ -6,15 +6,23 @@ import pytest
 
 from branchlab.instances import InstanceFamilySpec, generate_instance, lp_relaxation
 from branchlab.simplex import (
+    _AT_LOWER,
+    _AT_UPPER,
+    _BASIC,
+    _DUAL_TOL,
+    _FREE,
     _PIVOT_TOL,
     BoundOverride,
     LpStatus,
+    NumericalInstabilityError,
     SimplexSolver,
+    _price,
     _ratio_test,
+    _State,
 )
 
 from .conftest import make_instance
-from .oracles import lp_vertex_optimum, ratio_test_reference
+from .oracles import lp_vertex_optimum, pricing_reference, ratio_test_reference
 
 
 def test_box_lp():
@@ -242,6 +250,72 @@ def test_ratio_test_matches_numpy_scalar_reference():
     assert min(seen[k] for k in (
         "unbounded", "flip", "pivot", "negative zero step", "tie rules disagree"
     )) >= 20, seen
+
+
+def _pricing_case(rng):
+    """A random pricing input: (d, stat). Reduced costs come from a small pool
+    so that ties in |d| (including d and -d), signed zeros and values exactly
+    at and just around +-_DUAL_TOL are common; a few are NaN or infinite.
+    Statuses include basic and free columns."""
+    N = int(rng.integers(1, 13))
+    tol = _DUAL_TOL
+    pool = [0.0, -0.0, tol, -tol, np.nextafter(tol, 0), -np.nextafter(tol, 0),
+            np.nextafter(tol, 1), -np.nextafter(tol, 1), 2 * tol, -2 * tol,
+            0.5, -0.5, 1.0, -1.0, 3.0, -3.0, np.nan, np.inf, -np.inf]
+    p = np.ones(len(pool))
+    p[-3:] = 0.1                        # NaN and infinities are rare
+    d = rng.choice(pool, N, p=p / p.sum())
+    noisy = rng.random(N) < 0.2
+    d[noisy] = rng.normal(0, 2, int(noisy.sum()))
+    stat = rng.choice(np.array([_AT_LOWER, _AT_UPPER, _BASIC, _FREE], dtype=np.int8), N,
+                      p=[0.35, 0.3, 0.2, 0.15])
+    return d, stat
+
+
+def test_pricing_matches_mask_reference():
+    """The signed-score pricing picks the same column and direction as the
+    boolean-mask rule it replaced, under both Dantzig's and Bland's rule, on
+    free and basic columns, ties, signed zeros, values at the tolerance and
+    NaN reduced costs."""
+    rng = np.random.default_rng(9)
+    seen = collections.Counter()
+    for _ in range(6000):
+        d, stat = _pricing_case(rng)
+        free = (stat == _FREE).nonzero()[0].tolist()
+        for bland in (False, True):
+            want = pricing_reference(d, stat, bland, _DUAL_TOL)
+            with np.errstate(invalid="ignore"):     # 0 * inf on a basic column
+                got = _price(d, stat, free, bland)
+            assert got == want, (d.tolist(), stat.tolist(), bland)
+        e, direction = got
+        if e < 0:
+            seen["none eligible"] += 1
+            seen["at tolerance, none eligible"] += bool(np.any(np.abs(d) == _DUAL_TOL))
+            continue
+        seen["free entered"] += stat[e] == _FREE
+        seen["decrease"] += direction < 0
+        eligible = (np.isin(stat, (_AT_LOWER, _FREE)) & (d < -_DUAL_TOL)) | (
+            np.isin(stat, (_AT_UPPER, _FREE)) & (d > _DUAL_TOL))
+        seen["tie in |d|"] += int(np.sum(np.abs(d[eligible]) == abs(d[e]))) > 1
+        seen["NaN beside an eligible column"] += bool(np.isnan(d).any())
+    assert min(seen[k] for k in (
+        "none eligible", "at tolerance, none eligible", "free entered", "decrease",
+        "tie in |d|", "NaN beside an eligible column",
+    )) >= 20, seen
+
+
+def test_audit_rejects_a_nan_point():
+    """A state whose nonbasic value is NaN passes every feasibility comparison
+    (each is False for NaN); the optimality audit rejects it as not finite
+    instead of returning an optimal solution with a NaN objective."""
+    inst = make_instance("flat", [0.0, 0.0], [[1.0, 1.0]], [4.0], [0.0, 0.0], [1.0, 1.0], 0)
+    solver = SimplexSolver(inst)
+    lb, ub = solver.lb0.copy(), solver.ub0.copy()
+    stat = np.array([_AT_LOWER, _AT_LOWER, _BASIC], dtype=np.int8)
+    x = np.array([np.nan, 0.0, 4.0])
+    state = _State(solver.W, solver.b, lb, ub, np.array([2]), stat, x, np.eye(1))
+    with pytest.raises(NumericalInstabilityError, match="not finite"):
+        solver._phase_two(state, 100)
 
 
 def test_warm_children_match_cold_and_vertex_enumeration():
