@@ -33,6 +33,7 @@ from .evaluation import (
     checkpoint_table_json,
     compare_policies,
     evaluate_policy,
+    paired_sign_test,
     plot_data_csv,
     report_from_json,
     report_to_csv,
@@ -437,8 +438,9 @@ def cmd_report(cfg: Config, plot_data: bool = False) -> int:
         copied = reports_dir / "loss_curve.csv"
         copied.write_text("\n".join(rows) + "\n")
 
+    reports = {}
     for path in sorted(reports_dir.glob("eval_*.json")):
-        report = report_from_json(path.read_text())
+        report = reports[path.stem] = report_from_json(path.read_text())
         _check_stamp(cfg, report.fingerprint, path.name)
         agg = report.aggregate()
         lines.append(
@@ -451,6 +453,13 @@ def cmd_report(cfg: Config, plot_data: bool = False) -> int:
             for row in report.rows:
                 if row.ok:
                     (plot_dir / f"{path.stem}_{row.instance}.csv").write_text(plot_data_csv(row))
+    if "eval_random" in reports:
+        # the paper's claim (acceptance criterion 8): the learned policy beats
+        # random branching by a paired sign test
+        for stem in (s for s in reports if s.startswith("eval_gcnn")):
+            wins, losses, p = paired_sign_test(reports[stem], reports["eval_random"])
+            lines.append(f"{stem} vs eval_random: W{wins}/L{losses} on cumulative "
+                         f"reward, one-sided sign test p = {p:.4g}")
 
     summary = reports_dir / "summary.txt"
     summary.write_text("\n".join(lines) + "\n")

@@ -259,6 +259,20 @@ def checkpoint_table_json(best_id: str, table: list[CheckpointEntry]) -> str:
     )
 
 
+def paired_sign_test(report: EvalReport, baseline: EvalReport) -> tuple[int, int, float]:
+    """Wins and losses of ``report`` against ``baseline`` on cumulative reward,
+    paired by instance over the rows both evaluated (ties dropped), and the
+    one-sided sign-test p-value P(X >= wins), X ~ Binomial(wins + losses, 1/2)."""
+    base = {r.instance: r.cumulative_reward for r in baseline.ok_rows()}
+    pairs = [(r.cumulative_reward, base[r.instance])
+             for r in report.ok_rows() if r.instance in base]
+    wins = sum(a > b for a, b in pairs)
+    losses = sum(a < b for a, b in pairs)
+    trials = wins + losses
+    tail = sum(math.comb(trials, k) for k in range(wins, trials + 1))
+    return wins, losses, tail / 2**trials
+
+
 def compare_policies(
     policies: list[BranchingPolicy],
     instances: list,

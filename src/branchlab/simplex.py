@@ -1,11 +1,18 @@
 """Bounded-variable primal simplex over dense desk-scale LPs.
 
 The solver works on the slack form ``A x + s = b`` with ``l <= x <= u`` and
-``s >= 0``. Nonbasic variables sit at a finite bound (free variables at 0).
-Phase 1 appends artificial columns for rows whose slack starts negative; a
-warm start from a parent basis with a single out-of-bound basic variable is
-repaired in place, which is exactly the case produced by tightening one bound
-when branching.
+``s >= 0``, on ``W = [A I]`` alone: there are no artificial columns.
+Nonbasic variables sit at a finite bound (free variables at 0). Every solve
+starts the same way: from the warm solution's basis, or from the slack basis
+when there is none or it is malformed or singular (``_start``); each
+out-of-bound basic variable is then repaired in turn (``_repair``), and phase
+two runs. A repair drives one variable to its violated bound while those
+still waiting are relaxed to +-inf on their violated side, so the working
+region holds every feasible point and, by convexity, a repair that stops
+short of the bound proves the LP infeasible. A repaired variable keeps its
+true bounds, so each is repaired at most once: a bounded-variable phase 1
+(Maros, Computational Techniques of the Simplex Method, 2003). A
+branch-and-bound child starts with exactly one repair.
 
 A warm start factorizes its basis with one ``np.linalg.inv`` of
 ``W[:, basis]``. The solver keeps the last such inverse with its basis and
@@ -93,6 +100,8 @@ class BoundOverride:
     def __post_init__(self):
         if self.side not in ("lower", "upper"):
             raise ValueError(f"side must be 'lower' or 'upper', got {self.side!r}")
+        if math.isnan(self.value):      # every bound comparison would ignore it
+            raise ValueError(f"bound override of variable {self.var} is NaN")
 
 
 @dataclass(frozen=True)
@@ -116,18 +125,17 @@ class LpSolution:
 
 
 class _State:
-    """Mutable solve state; lives for one solve() call, possibly across phases."""
+    """Mutable solve state; lives for one solve() call, across its repairs and
+    phase two."""
 
-    __slots__ = ("W", "b", "lb", "ub", "basis", "stat", "x", "Binv", "pivots", "iters")
+    __slots__ = ("lb", "ub", "basis", "stat", "x", "Binv", "pivots", "iters")
 
-    def __init__(self, W, b, lb, ub, basis, stat, x, Binv):
-        self.W = W
-        self.b = b
+    def __init__(self, lb, ub, basis, stat, x, Binv):
         self.lb = lb
         self.ub = ub
         self.basis = basis      # (m,) variable index per row
-        self.stat = stat        # (ncols,) status codes
-        self.x = x              # (ncols,) current point
+        self.stat = stat        # (n + m,) status codes
+        self.x = x              # (n + m,) current point
         self.Binv = Binv        # (m, m)
         self.pivots = 0
         self.iters = 0
@@ -177,11 +185,11 @@ class SimplexSolver:
         if (lb > ub + 1e-12).any():
             return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), 0)
 
-        if warm is not None and self.m > 0 and len(warm.basis) == self.m:
-            sol = self._solve_warm(lb, ub, warm, iter_limit)
-            if sol is not None:
-                return sol
-        return self._solve_cold(lb, ub, iter_limit)
+        state = self._start(lb, ub, warm)
+        status = self._repair(state, iter_limit)
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(status, None, math.inf, (), state.iters)
+        return self._phase_two(state, iter_limit)
 
     def probe_children(
         self,
@@ -209,105 +217,76 @@ class SimplexSolver:
 
     # -- start construction ----------------------------------------------------
 
-    def _solve_cold(self, lb, ub, iter_limit) -> LpSolution:
+    def _start(self, lb, ub, warm: LpSolution | None) -> _State:
+        """The starting state with its basic values: the warm solution's basis
+        when it is a basis of this LP, otherwise the slack basis."""
         n, m = self.n, self.m
-        N = n + m
-        basis = np.arange(n, N, dtype=np.int64)
-        stat, x = _nonbasic_start(lb, ub, basis, ())
-        slack = self.b - self.W[:, :n] @ x[:n]
-        x[n:] = slack
+        Binv = None
+        if warm is not None and m > 0 and len(warm.basis) == m:
+            Binv = self._warm_inverse(warm.basis)
+        if Binv is None:
+            basis = np.arange(n, n + m, dtype=np.int64)
+            stat, x = _nonbasic_start(lb, ub, basis, ())
+            Binv = np.eye(m)
+        else:
+            basis = np.array(warm.basis, dtype=np.int64)
+            stat, x = _nonbasic_start(lb, ub, basis, warm.at_upper)
+        state = _State(lb, ub, basis, stat, x, Binv)
+        self._set_basic_values(state)
+        return state
 
-        state = _State(self.W, self.b, lb, ub, basis, stat, x, np.eye(m))
-
-        violated = np.where(slack < -FEAS_TOL)[0]
-        if len(violated) > 0:
-            state, status = self._phase_one(state, violated, iter_limit)
-            if status is not LpStatus.OPTIMAL:
-                return LpSolution(status, None, math.inf, (), state.iters)
-        return self._phase_two(state, iter_limit)
-
-    def _phase_one(self, state, violated, iter_limit):
-        """Append one artificial column per violated row and minimize their sum."""
-        n, m = self.n, self.m
-        k = len(violated)
-        W1 = np.concatenate([state.W, np.zeros((m, k))], axis=1)
-        cost1 = np.zeros(n + m + k)
-        lb1 = np.concatenate([state.lb, np.zeros(k)])
-        ub1 = np.concatenate([state.ub, np.full(k, math.inf)])
-        x1 = np.concatenate([state.x, np.zeros(k)])
-        stat1 = np.concatenate([state.stat, np.full(k, _AT_LOWER, dtype=np.int8)])
-        basis1 = state.basis.copy()
-        for t, i in enumerate(violated):
-            col = n + m + t
-            W1[i, col] = -1.0
-            cost1[col] = 1.0
-            slack_var = int(basis1[i])
-            x1[col] = -float(x1[slack_var])     # = A_i x_N - b_i > 0
-            stat1[slack_var] = _AT_LOWER        # slack leaves at its lower bound 0
-            x1[slack_var] = 0.0
-            basis1[i] = col
-            stat1[col] = _BASIC
-
-        st1 = _State(W1, state.b, lb1, ub1, basis1, stat1, x1, np.eye(m))
-        self._refactor(st1)
-        status = self._iterate(cost1, st1, iter_limit)
-        if status is LpStatus.ITERATION_LIMIT:
-            return st1, LpStatus.ITERATION_LIMIT
-        if status is LpStatus.UNBOUNDED:
-            raise NumericalInstabilityError("phase-1 objective reported unbounded")
-        art_sum = float(st1.x[n + m:].sum())
-        if art_sum > FEAS_TOL * self._bscale:
-            return st1, LpStatus.INFEASIBLE
-        # pin artificials at zero; any still basic are degenerate and immobile
-        st1.lb[n + m:] = 0.0
-        st1.ub[n + m:] = 0.0
-        st1.x[n + m:] = np.maximum(st1.x[n + m:], 0.0)
-        return st1, LpStatus.OPTIMAL
-
-    def _solve_warm(self, lb, ub, warm: LpSolution, iter_limit) -> LpSolution | None:
-        """Warm start from a parent basis; returns None to fall back to cold."""
-        n, m = self.n, self.m
-        N = n + m
-        wb = warm.basis
-        if len(set(wb)) != m or min(wb) < 0 or max(wb) >= N:
-            return None
-        basis = np.array(wb, dtype=np.int64)
-        stat, x = _nonbasic_start(lb, ub, basis, warm.at_upper)
-        if warm.basis != self._warm_basis:
+    def _warm_inverse(self, wb: tuple[int, ...]) -> np.ndarray | None:
+        """A copy of the inverse of ``W[:, wb]``, or None when ``wb`` is not a
+        basis of this LP (repeated or out-of-range indices, or singular)."""
+        if wb != self._warm_basis:
+            if len(set(wb)) != self.m or min(wb) < 0 or max(wb) >= self.n + self.m:
+                return None
             try:
-                inv = np.linalg.inv(self.W[:, basis])
+                inv = np.linalg.inv(self.W[:, list(wb)])
             except np.linalg.LinAlgError:
                 return None
-            self._warm_basis, self._warm_inv = warm.basis, inv
-        Binv = self._warm_inv.copy()
-        state = _State(self.W, self.b, lb, ub, basis, stat, x, Binv)
-        self._set_basic_values(state)
+            self._warm_basis, self._warm_inv = wb, inv
+        return self._warm_inv.copy()
 
-        xb, ubb = x[basis], ub[basis]
-        viol = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ubb + FEAS_TOL))
-        if len(viol) == 0:
-            return self._phase_two(state, iter_limit)
-        if len(viol) > 1:
-            return None
-        row = int(viol[0])
-        above = xb.item(row) > ubb.item(row) + FEAS_TOL
-        status = self._repair_single(state, wb[row], above, iter_limit)
-        if status is LpStatus.ITERATION_LIMIT:
-            return LpSolution(LpStatus.ITERATION_LIMIT, None, math.inf, (), state.iters)
-        if status is LpStatus.INFEASIBLE:
-            return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), state.iters)
-        return self._phase_two(state, iter_limit)
+    def _repair(self, state, iter_limit) -> LpStatus:
+        """Repair each out-of-bound basic variable in turn, in row order; one
+        that came inside its bounds while it waited needs no repair."""
+        lb, ub, x, basis = state.lb, state.ub, state.x, state.basis
+        xb = x[basis]
+        above = xb > ub[basis] + FEAS_TOL
+        rows = np.flatnonzero(above | (xb < lb[basis] - FEAS_TOL)).tolist()
+        if not rows:
+            return LpStatus.OPTIMAL
+        waiting = [(basis.item(r), above.item(r)) for r in rows]
+        held = []       # the true violated-side bound of each one after the first
+        for k, up in waiting[1:]:
+            side = ub if up else lb
+            held.append(side.item(k))
+            side[k] = math.inf if up else -math.inf
+        for (k, up), bound in zip(waiting, [None] + held):
+            if bound is not None:       # it may have come inside while it waited
+                if up:
+                    ub[k] = bound
+                    if x.item(k) <= bound + FEAS_TOL:
+                        continue
+                else:
+                    lb[k] = bound
+                    if x.item(k) >= bound - FEAS_TOL:
+                        continue
+            status = self._repair_single(state, k, up, iter_limit)
+            if status is not LpStatus.OPTIMAL:
+                return status
+        return LpStatus.OPTIMAL
 
     def _repair_single(self, state, k, above: bool, iter_limit) -> LpStatus:
-        """Drive the one out-of-bound basic variable k back inside its range.
+        """Drive the out-of-bound basic variable k back inside its range.
 
-        The violated side is clamped at the current value and the opposite
-        side at the true bound, so minimizing toward the true bound either
-        reaches it (then the point is feasible, by convexity) or proves the
-        tightened problem infeasible.
+        k is boxed between its violated bound and its current value, so
+        minimizing toward that bound either reaches it or, by convexity,
+        proves the LP infeasible.
         """
         true_lb, true_ub = float(state.lb[k]), float(state.ub[k])
-        cost = np.zeros(state.W.shape[1])
+        cost = np.zeros(len(state.x))
         if above:
             state.lb[k] = true_ub
             state.ub[k] = state.x[k]
@@ -340,12 +319,12 @@ class SimplexSolver:
 
     def _set_basic_values(self, state):
         nonbasic = state.stat != _BASIC
-        rhs = state.b - state.W[:, nonbasic] @ state.x[nonbasic]
+        rhs = self.b - self.W[:, nonbasic] @ state.x[nonbasic]
         state.x[state.basis] = state.Binv @ rhs
 
     def _refactor(self, state):
         try:
-            state.Binv = np.linalg.inv(state.W[:, state.basis])
+            state.Binv = np.linalg.inv(self.W[:, state.basis])
         except np.linalg.LinAlgError:
             raise NumericalInstabilityError("basis matrix is singular") from None
         self._set_basic_values(state)
@@ -359,7 +338,7 @@ class SimplexSolver:
         bland = False
         stall = 0
         stall_limit = 3 * (self.n + self.m)
-        W, b, x, stat, basis = state.W, state.b, state.x, state.stat, state.basis
+        W, b, x, stat, basis = self.W, self.b, state.x, state.stat, state.basis
         # bounds do not move within one call (a repair moves them around it)
         lb, ub = state.lb.tolist(), state.ub.tolist()
         # basis-side state, updated in place by each pivot
@@ -438,12 +417,7 @@ class SimplexSolver:
                     bland = True
 
     def _phase_two(self, state, iter_limit) -> LpSolution:
-        n, m = self.n, self.m
-        if state.W.shape[1] == n + m:
-            cost = self.cost
-        else:                               # zero cost on the artificial columns
-            cost = np.zeros(state.W.shape[1])
-            cost[: n + m] = self.cost
+        n, cost = self.n, self.cost
         status = self._iterate(cost, state, iter_limit)
 
         if status is LpStatus.UNBOUNDED:
@@ -456,11 +430,11 @@ class SimplexSolver:
 
         self._refactor(state)
         y = cost[state.basis] @ state.Binv
-        reduced = self.cost[:n] - y @ self.W[:, :n]
+        reduced = cost[:n] - y @ self.W[:, :n]
         self._audit(state, y, reduced)
         x = state.x[:n].copy()
         obj = float(self.inst.objective @ x)
-        at_upper = frozenset(np.flatnonzero(state.stat[: n + m] == _AT_UPPER).tolist())
+        at_upper = frozenset(np.flatnonzero(state.stat == _AT_UPPER).tolist())
         return LpSolution(
             LpStatus.OPTIMAL, x, obj,
             tuple(state.basis.tolist()), state.iters,
@@ -473,14 +447,13 @@ class SimplexSolver:
         The feasibility tests are comparisons, which are all False for NaN,
         so the point, duals and reduced costs are first checked to be finite.
         """
-        n, m = self.n, self.m
-        if not np.isfinite(np.concatenate((state.x, y, reduced))).all():
+        n, x = self.n, state.x
+        if not np.isfinite(np.concatenate((x, y, reduced))).all():
             raise NumericalInstabilityError("optimal point, duals or reduced costs not finite")
-        x = state.x[: n + m]
         tol = FEAS_TOL * self._bscale
         if (
-            (x < state.lb[: n + m] - tol).any()
-            or (x > state.ub[: n + m] + tol).any()
+            (x < state.lb - tol).any()
+            or (x > state.ub + tol).any()
             or (self.W[:, :n] @ x[:n] > self.b + tol).any()
         ):
             raise NumericalInstabilityError("optimal point failed the feasibility audit")

@@ -10,6 +10,8 @@ import branchlab
 from branchlab.cli import main
 from branchlab.config import Config, ConfigError
 
+from .oracles import sign_test_p_value
+
 
 def _base_overrides(root: Path, **extra) -> list[str]:
     values = {
@@ -83,6 +85,17 @@ def test_full_pipeline_smoke(tmp_path):
     assert _run("report", ov, "--plot-data") == 0
     summary = (root / "reports" / "summary.txt").read_text()
     assert "best checkpoint" in summary
+    # the criterion-8 statistic: paired W/L against random and its p-value
+    (gcnn,) = sorted((root / "reports").glob("eval_gcnn_*.json"))
+    ours, theirs = (
+        {r["instance"]: r["cumulative_reward"] for r in json.loads(path.read_text())["rows"]}
+        for path in (gcnn, root / "reports" / "eval_random.json")
+    )
+    wins = sum(ours[k] > theirs[k] for k in ours)
+    losses = sum(ours[k] < theirs[k] for k in ours)
+    p = sign_test_p_value(wins, wins + losses)
+    assert (f"{gcnn.stem} vs eval_random: W{wins}/L{losses} on cumulative reward, "
+            f"one-sided sign test p = {p:.4g}\n") in summary
     plot_files = list((root / "reports" / "plotdata").glob("*.csv"))
     assert plot_files
     assert plot_files[0].read_text().splitlines()[0] == "clock,dual_bound"

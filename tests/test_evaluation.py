@@ -8,9 +8,11 @@ import pytest
 from branchlab import gnn
 from branchlab.bnb import Budget, DualTrace, dual_integral
 from branchlab.evaluation import (
+    EvalReport,
     EvalRow,
     compare_policies,
     evaluate_policy,
+    paired_sign_test,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -244,3 +246,37 @@ def test_sb_beats_random_on_node_count():
     trials = sum(1 for k in sb_nodes if sb_nodes[k] != rnd_nodes[k])
     assert sum(sb_nodes.values()) <= sum(rnd_nodes.values())
     assert sign_test_p_value(wins, trials) < 0.05
+
+
+def test_paired_sign_test_matches_the_oracle():
+    """Wins and losses pair rows by instance over the rows both reports
+    evaluated; ties, error rows and unmatched instances drop out, and the
+    p-value is the oracle's one-sided binomial tail."""
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        count = int(rng.integers(0, 60))
+        ours = rng.integers(-3, 4, count).astype(float)
+        theirs = rng.integers(-3, 4, count).astype(float)
+        rows = [EvalRow(f"i{k}", "optimal", cumulative_reward=v) for k, v in enumerate(ours)]
+        base = [EvalRow(f"i{k}", "optimal", cumulative_reward=v) for k, v in enumerate(theirs)]
+        dropped = set()
+        for k in range(count):
+            u = rng.random()
+            if u < 0.05:
+                rows[k] = EvalRow(f"i{k}", "error", error="boom")
+                dropped.add(k)
+            elif u < 0.1:
+                base[k] = EvalRow(f"j{k}", "optimal", cumulative_reward=0.0)
+                dropped.add(k)
+        kept = [k for k in range(count) if k not in dropped]
+        wins = sum(ours[k] > theirs[k] for k in kept)
+        losses = sum(ours[k] < theirs[k] for k in kept)
+        got = paired_sign_test(EvalReport("a", rows, {}), EvalReport("b", base, {}))
+        assert got[:2] == (wins, losses), trial
+        assert got[2] == pytest.approx(sign_test_p_value(wins, wins + losses), rel=1e-12)
+    # past 1023 trials 2.0**trials overflows a float; the exact tail does not
+    rows = [EvalRow(f"i{k}", "optimal", cumulative_reward=float(k % 3 != 0))
+            for k in range(1500)]
+    base = [EvalRow(f"i{k}", "optimal", cumulative_reward=0.5) for k in range(1500)]
+    wins, losses, p = paired_sign_test(EvalReport("a", rows, {}), EvalReport("b", base, {}))
+    assert (wins, losses) == (1000, 500) and 0.0 <= p < 1e-30

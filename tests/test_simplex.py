@@ -155,6 +155,33 @@ def test_degenerate_lp_terminates():
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
 
+def test_nan_override_rejected(knapsack):
+    # every bound comparison is False for NaN, so a NaN override would
+    # otherwise leave the bound as it was and solve the parent LP
+    for side in ("lower", "upper"):
+        with pytest.raises(ValueError, match="NaN"):
+            BoundOverride(1, side, math.nan)
+
+
+def test_optimal_basis_holds_only_columns_of_the_lp():
+    """An LP whose slack basis violates rows, with a degenerate optimum (rows
+    1 and 4 pin x = 0): its optimal basis holds m distinct indices below
+    n + m, and a warm start from it is optimal at once."""
+    inst = make_instance(
+        "degenerate", [-0.32], [[-1.03], [0.03], [-7.31], [1.06]], [0.0, 5.44, 0.96, 0.0],
+        [-0.84], [np.inf], 1,
+    )
+    solver = SimplexSolver(inst)
+    sol = solver.solve()
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective == 0.0
+    assert len(set(sol.basis)) == inst.num_cons
+    assert all(0 <= v < inst.num_vars + inst.num_cons for v in sol.basis)
+    again = solver.solve(warm=sol)
+    assert again.status is LpStatus.OPTIMAL and again.iterations == 0
+    assert again.basis == sol.basis
+
+
 def test_loosening_override_rejected(knapsack):
     solver = SimplexSolver(knapsack)
     with pytest.raises(ValueError, match="loosens"):
@@ -313,7 +340,7 @@ def test_audit_rejects_a_nan_point():
     lb, ub = solver.lb0.copy(), solver.ub0.copy()
     stat = np.array([_AT_LOWER, _AT_LOWER, _BASIC], dtype=np.int8)
     x = np.array([np.nan, 0.0, 4.0])
-    state = _State(solver.W, solver.b, lb, ub, np.array([2]), stat, x, np.eye(1))
+    state = _State(lb, ub, np.array([2]), stat, x, np.eye(1))
     with pytest.raises(NumericalInstabilityError, match="not finite"):
         solver._phase_two(state, 100)
 
@@ -322,8 +349,12 @@ def test_warm_children_match_cold_and_vertex_enumeration():
     """Both children of a fractional variable, warm-started from the parent,
     on random LPs with degenerate rows (b = 0), tied costs, general-integer
     boxes and some infinite upper bounds: each agrees with a cold solve, and
-    with vertex enumeration wherever the child's box is finite."""
+    with vertex enumeration wherever the child's box is finite. Where a
+    second variable is fractional, four more children tighten a bound of each
+    at once: both are basic in the parent, so these start with two
+    out-of-bound basic variables."""
     rng = np.random.default_rng(11)
+    pick = np.random.default_rng(12)        # second variables, apart from the LPs' draws
     counts = collections.Counter()
     for k in range(1000):
         n = int(rng.integers(2, 5))
@@ -346,28 +377,42 @@ def test_warm_children_match_cold_and_vertex_enumeration():
             continue
         j = frac[int(rng.integers(len(frac)))]
         xj = float(parent.x[j])
-        for ov in (BoundOverride(j, "upper", math.floor(xj)),
-                   BoundOverride(j, "lower", math.ceil(xj))):
-            warm = solver.solve((ov,), warm=parent)
-            cold = solver.solve((ov,))
-            assert warm.status is cold.status, (k, ov)
+        down = BoundOverride(j, "upper", math.floor(xj))
+        up_ov = BoundOverride(j, "lower", math.ceil(xj))
+        children = [(down,), (up_ov,)]
+        others = [v for v in frac if v != j]
+        if others:
+            j2 = others[int(pick.integers(len(others)))]
+            x2 = float(parent.x[j2])
+            children += [(a, b2) for a in (down, up_ov) for b2 in (
+                BoundOverride(j2, "upper", math.floor(x2)),
+                BoundOverride(j2, "lower", math.ceil(x2)))]
+        for ovs in children:
+            warm = solver.solve(ovs, warm=parent)
+            cold = solver.solve(ovs)
+            assert warm.status is cold.status, (k, ovs)
             counts[warm.status] += 1
             if warm.status is LpStatus.OPTIMAL:
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
                 assert np.all(A @ warm.x <= b + 1e-7)
             child_lo, child_up = lo.copy(), up.copy()
-            (child_up if ov.side == "upper" else child_lo)[j] = ov.value
+            for ov in ovs:
+                (child_up if ov.side == "upper" else child_lo)[ov.var] = ov.value
+            outside = [v for v in parent.basis if v < n and not
+                       child_lo[v] - 1e-7 <= parent.x[v] <= child_up[v] + 1e-7]
+            counts["two or more violated at the start"] += len(outside) >= 2
             if np.all(np.isfinite(child_up)):
                 expected = lp_vertex_optimum(c, A, b, child_lo, child_up)
                 counts["enumerated"] += 1
                 if expected is None:
-                    assert warm.status is LpStatus.INFEASIBLE, (k, ov)
+                    assert warm.status is LpStatus.INFEASIBLE, (k, ovs)
                 else:
-                    assert warm.status is LpStatus.OPTIMAL, (k, ov)
+                    assert warm.status is LpStatus.OPTIMAL, (k, ovs)
                     assert warm.objective == pytest.approx(expected, abs=1e-7)
     assert counts[LpStatus.OPTIMAL] >= 250, counts
     assert counts[LpStatus.INFEASIBLE] >= 150, counts
     assert counts["enumerated"] >= 250, counts
+    assert counts["two or more violated at the start"] >= 150, counts
 
 
 def _solution_bytes(sol):
