@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 # The matrices are small, so BLAS threads only spin and wait on each other,
@@ -78,9 +79,12 @@ def _stamp(cfg: Config) -> dict:
     }
 
 
-def _write_manifest(directory: Path, cfg: Config, payload: dict) -> None:
+def _write_manifest(directory: Path, cfg: Config, payload: dict, started: float) -> None:
+    """Write a stage's manifest, with the stage's wall time since ``started``
+    (a ``time.perf_counter`` reading) as ``wall_s``."""
     manifest = dict(_stamp(cfg))
     manifest.update(payload)
+    manifest["wall_s"] = time.perf_counter() - started
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
@@ -115,6 +119,7 @@ def _check_stamp(cfg: Config, artifact: dict, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: Config) -> int:
+    started = time.perf_counter()
     out = _instance_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_effective(cfg.get("run.root"))
@@ -139,12 +144,13 @@ def cmd_generate(cfg: Config) -> int:
             files[inst.name] = _sha256(path)
             names.append(inst.name)
         splits[split] = names
-    _write_manifest(out, cfg, {"splits": splits, "files": files})
+    _write_manifest(out, cfg, {"splits": splits, "files": files}, started)
     print(f"generated {sum(len(v) for v in splits.values())} instances under {out}")
     return EXIT_OK
 
 
 def cmd_collect(cfg: Config) -> int:
+    started = time.perf_counter()
     instances = _load_split(cfg, "train")
     out = Path(cfg.get("run.root")) / "episodes"
     (out / "observations").mkdir(parents=True, exist_ok=True)
@@ -182,6 +188,7 @@ def cmd_collect(cfg: Config) -> int:
             "total_transitions": sum(counts.values()),
             "failed": failures,
         },
+        started,
     )
     print(
         f"collected {len(files)} episodes, {sum(counts.values())} transitions, "
@@ -200,6 +207,7 @@ def _load_episodes(cfg: Config):
 
 
 def cmd_select(cfg: Config) -> int:
+    started = time.perf_counter()
     episodes = _load_episodes(cfg)
     returns = compute_returns(episodes, cfg.get_float("select.gamma"))
     if not returns.entries:
@@ -270,6 +278,7 @@ def cmd_select(cfg: Config) -> int:
         out, cfg,
         {"files": {"dataset.jsonl": _sha256(dataset)},
          "selected": len(selected), "total": len(returns.entries)},
+        started,
     )
     print(f"selected {len(selected)} of {len(returns.entries)} transitions (p={env_cfg.p})")
     return EXIT_OK
@@ -299,6 +308,7 @@ def _load_dataset(cfg: Config):
 
 
 def cmd_train(cfg: Config) -> int:
+    started = time.perf_counter()
     batch = _load_dataset(cfg)
     out = Path(cfg.get("run.root")) / "checkpoints"
     out.mkdir(parents=True, exist_ok=True)
@@ -324,6 +334,7 @@ def cmd_train(cfg: Config) -> int:
         out, cfg,
         {"files": files, "checkpoints": [cid for cid, _ in result.checkpoints],
          "diverged": result.diverged, "epochs_run": len(result.curve)},
+        started,
     )
     print(f"trained {len(result.curve)} epochs, {len(result.checkpoints)} checkpoints")
     return EXIT_OK if not result.diverged else EXIT_DATA
@@ -338,6 +349,7 @@ def _eval_budget(cfg: Config) -> Budget:
 
 
 def cmd_evaluate(cfg: Config) -> int:
+    started = time.perf_counter()
     ck_dir = Path(cfg.get("run.root")) / "checkpoints"
     manifest = _read_manifest(ck_dir)
     _check_stamp(cfg, manifest, "checkpoints")
@@ -372,7 +384,7 @@ def cmd_evaluate(cfg: Config) -> int:
         (out / f"eval_{safe}.csv").write_text(report_to_csv(report))
         files[f"eval_{safe}.json"] = _sha256(out / f"eval_{safe}.json")
         files[f"eval_{safe}.csv"] = _sha256(out / f"eval_{safe}.csv")
-    _write_manifest(out, cfg, {"files": files, "best_checkpoint": best_id})
+    _write_manifest(out, cfg, {"files": files, "best_checkpoint": best_id}, started)
     print(f"best checkpoint {best_id}; evaluated {len(policies)} policies on "
           f"{len(test_instances)} test instances")
     return EXIT_OK

@@ -12,6 +12,24 @@ rules score. A per-variable head produces branching logits that are masked to
 the candidate set; a mean-pooled scalar head produces the state value used by
 the envelope fit.
 
+Message passing multiplies at the nodes, never at the edges. A message is
+a two-layer perceptron of its edge, ``relu(c_i W_c + v_j W_v + e_ij w_e +
+b1) W2 + b2``. Its first layer is a sum of terms in one endpoint each, so
+``C W_c`` and ``V W_v`` are computed per node and gathered to the edges. Its
+second layer is linear, so the sum of a receiver's messages is (the sum of
+its edges' relu activations) ``W2`` + (its edge count) ``b2``; a node without
+edges receives 0. In real arithmetic this is the function that evaluates
+every message on its edge (``tests/oracles.py`` keeps that form); in floats
+the sums run in another order, and results move by about 1e-15 relative.
+Per edge only gathers, adds, the relu and segment sums run, so the work on
+edges is E x HIDDEN, not E x HIDDEN^2. The per-edge (E x HIDDEN) arrays are
+the forward's pre-activation, which becomes the activation in place, one
+gather or edge-term temporary at a time, and the segment sum's flat index.
+Of these the backward keeps only the relu's on/off pattern (one byte an
+entry). It builds one per-edge array of its own, the pre-activation
+gradient, and segment-sums it by constraint and by variable to reach
+``W_c``, ``W_v`` and the embeddings.
+
 A batch of observations runs as one disjoint-union graph through one plain
 numpy forward, :func:`_forward`, which serves inference, loss evaluation and
 prenormalisation and returns the activations it computed. :func:`grad`
@@ -99,17 +117,6 @@ def init_params(seed: int = 0, zero: bool = False) -> GcnnParameters:
     return GcnnParameters(arrays, meta)
 
 
-def _check_widths(obs: BipartiteObservation) -> None:
-    if obs.var_features.shape[1] != VAR_FEATURES:
-        raise GcnnError(
-            f"variable feature width {obs.var_features.shape[1]} != {VAR_FEATURES}"
-        )
-    if obs.cons_features.shape[0] and obs.cons_features.shape[1] != CONS_FEATURES:
-        raise GcnnError(
-            f"constraint feature width {obs.cons_features.shape[1]} != {CONS_FEATURES}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Stacked batches and the forward pass
 # ---------------------------------------------------------------------------
@@ -137,8 +144,6 @@ def stack_observations(observations) -> GraphBatch:
     observations = list(observations)
     if not observations:
         raise ValueError("empty observation batch")
-    for obs in observations:
-        _check_widths(obs)
     n = np.array([obs.num_vars for obs in observations], dtype=np.int64)
     m = np.array([obs.num_cons for obs in observations], dtype=np.int64)
     var_offset = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
@@ -148,10 +153,10 @@ def stack_observations(observations) -> GraphBatch:
     col = np.concatenate([np.asarray(o.edge_col, dtype=np.int64) + off
                           for o, off in zip(observations, var_offset)])
     return GraphBatch(
-        var_features=np.concatenate([o.var_features for o in observations]),
-        cons_features=np.concatenate(
-            [np.reshape(o.cons_features, (-1, CONS_FEATURES)) for o in observations]
-        ),
+        var_features=_stack_rows([o.var_features for o in observations],
+                                 VAR_FEATURES, "variable"),
+        cons_features=_stack_rows([o.cons_features for o in observations if o.num_cons],
+                                  CONS_FEATURES, "constraint"),
         edge_row=row,
         edge_col=col,
         edge_val=np.concatenate([o.edge_val for o in observations]).reshape(-1, 1),
@@ -159,6 +164,14 @@ def stack_observations(observations) -> GraphBatch:
         pool_scale=(1.0 / np.maximum(n, 1)).reshape(-1, 1),
         var_offset=var_offset,
     )
+
+
+def _stack_rows(arrays: list[np.ndarray], width: int, what: str) -> np.ndarray:
+    """Row-stack 2-D feature arrays that must all be ``width`` wide."""
+    widths = {a.shape[1] for a in arrays}
+    if widths - {width}:
+        raise GcnnError(f"{what} feature width {sorted(widths - {width})} != {width}")
+    return np.concatenate(arrays) if arrays else np.zeros((0, width))
 
 
 def segment_sum(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
@@ -188,7 +201,9 @@ class _Pass:
     cons: np.ndarray       # constraint embeddings read by the messages
     var: np.ndarray        # variable embeddings read by the messages
     to_cons: bool          # receiving side: constraints, else variables
-    act: np.ndarray        # (E, HIDDEN) relu of the message pre-activations
+    active: np.ndarray     # (E, HIDDEN) bool: message pre-activation > 0
+    summed: np.ndarray     # relu of the message pre-activations, summed per receiver
+    degree: np.ndarray     # (R,) edges per receiver
     raw: np.ndarray        # summed messages before the prenormalisation scale
     agg: np.ndarray        # raw times the scale
     hidden: np.ndarray     # relu of the update's pre-activations
@@ -201,17 +216,25 @@ class _Pass:
 def _half_conv(P, msg: str, upd: str, cons, var, g: GraphBatch, to_cons: bool):
     """One half-convolution: a message per edge from both endpoint embeddings
     and the edge value, summed into the receiving side and prenormalised, then
-    the update. Returns the update's output and its :class:`_Pass`."""
-    pre = ((cons[g.edge_row] @ P[f"{msg}_w_c"] + var[g.edge_col] @ P[f"{msg}_w_v"])
-           + (g.edge_val @ P[f"{msg}_w_e"] + P[f"{msg}_b1"]))
-    act = np.maximum(pre, 0.0)
+    the update. Returns the update's output and its :class:`_Pass`.
+
+    Both message layers multiply node arrays: the first layer's endpoint
+    terms are projected before the gather, and the second layer is applied
+    to the per-receiver sums (its bias once per incident edge)."""
     own, idx = (cons, g.edge_row) if to_cons else (var, g.edge_col)
-    raw = segment_sum(act @ P[f"{msg}_w2"] + P[f"{msg}_b2"], idx, own.shape[0])
+    pre = (cons @ P[f"{msg}_w_c"] + P[f"{msg}_b1"])[g.edge_row]
+    pre += (var @ P[f"{msg}_w_v"])[g.edge_col]
+    pre += g.edge_val * P[f"{msg}_w_e"]
+    act = np.maximum(pre, 0.0, out=pre)
+    summed = segment_sum(act, idx, own.shape[0])
+    degree = np.bincount(idx, minlength=own.shape[0]).astype(np.float64)
+    raw = summed @ P[f"{msg}_w2"] + degree[:, None] * P[f"{msg}_b2"]
     agg = raw * P[f"{msg}_norm"]
     hidden = np.maximum((own @ P[f"{upd}_w_self"] + agg @ P[f"{upd}_w_agg"]) + P[f"{upd}_b1"],
                         0.0)
     out = hidden @ P[f"{upd}_w2"] + P[f"{upd}_b2"]
-    return out, _Pass(msg, upd, cons, var, to_cons, act, raw, agg, hidden)
+    return out, _Pass(msg, upd, cons, var, to_cons, act > 0.0, summed, degree, raw, agg,
+                      hidden)
 
 
 def _forward(P, g: GraphBatch):
@@ -231,7 +254,8 @@ def _half_conv_backward(P, p: _Pass, g: GraphBatch, d_out: np.ndarray, grads: di
     """Backward of one half-convolution. Stores its parameter gradients in
     ``grads`` and returns the gradients reaching the receiving side's own
     embedding (the update's self term) and, through the edge gathers, the
-    constraint and the variable embeddings."""
+    constraint and the variable embeddings. The only per-edge arrays are the
+    pre-activation gradient and the segment sums' indices."""
     msg, upd = p.msg, p.upd
     grads[f"{upd}_w2"] = p.hidden.T @ d_out
     grads[f"{upd}_b2"] = d_out.sum(axis=0)
@@ -240,18 +264,19 @@ def _half_conv_backward(P, p: _Pass, g: GraphBatch, d_out: np.ndarray, grads: di
     grads[f"{upd}_w_self"] = p.own.T @ d_hid
     grads[f"{upd}_w_agg"] = p.agg.T @ d_hid
     d_own = d_hid @ P[f"{upd}_w_self"].T
+    d_raw = (d_hid @ P[f"{upd}_w_agg"].T) * P[f"{msg}_norm"]
+    grads[f"{msg}_w2"] = p.summed.T @ d_raw
+    grads[f"{msg}_b2"] = p.degree @ d_raw
     idx = g.edge_row if p.to_cons else g.edge_col
-    d_msg = ((d_hid @ P[f"{upd}_w_agg"].T) * P[f"{msg}_norm"])[idx]
-    grads[f"{msg}_w2"] = p.act.T @ d_msg
-    grads[f"{msg}_b2"] = d_msg.sum(axis=0)
-    d_pre = (d_msg @ P[f"{msg}_w2"].T) * (p.act > 0.0)
-    grads[f"{msg}_b1"] = d_pre.sum(axis=0)
+    d_pre = (d_raw @ P[f"{msg}_w2"].T)[idx]
+    d_pre *= p.active
     grads[f"{msg}_w_e"] = g.edge_val.T @ d_pre
-    grads[f"{msg}_w_c"] = p.cons[g.edge_row].T @ d_pre
-    grads[f"{msg}_w_v"] = p.var[g.edge_col].T @ d_pre
-    d_cons = segment_sum(d_pre @ P[f"{msg}_w_c"].T, g.edge_row, p.cons.shape[0])
-    d_var = segment_sum(d_pre @ P[f"{msg}_w_v"].T, g.edge_col, p.var.shape[0])
-    return d_own, d_cons, d_var
+    d_cons = segment_sum(d_pre, g.edge_row, p.cons.shape[0])
+    d_var = segment_sum(d_pre, g.edge_col, p.var.shape[0])
+    grads[f"{msg}_b1"] = d_cons.sum(axis=0)
+    grads[f"{msg}_w_c"] = p.cons.T @ d_cons
+    grads[f"{msg}_w_v"] = p.var.T @ d_var
+    return d_own, d_cons @ P[f"{msg}_w_c"].T, d_var @ P[f"{msg}_w_v"].T
 
 
 def _backward(P, g: GraphBatch, acts: dict, d_V1: np.ndarray, grads: dict) -> None:
@@ -272,7 +297,7 @@ def forward_numpy(params: GcnnParameters, obs: BipartiteObservation) -> tuple[np
     return logits.ravel(), float(values[0, 0])
 
 
-_CHUNK = 512    # graphs per forward when scoring many states
+_CHUNK = 256    # graphs per forward when scoring many states
 
 
 def state_values(params: GcnnParameters, observations) -> np.ndarray:
@@ -360,15 +385,20 @@ def grad(params: GcnnParameters, batch, head: str, **kwargs):
     squared errors, undershoots weighted ``penalty`` times more (the
     indicator is read at the current value; exactly at the kink the
     non-penalized branch is used), plus ``ridge`` times the squared weights
-    (biases excluded). The batch runs as one stacked graph. Returns (loss
-    value, gradient dict in ``PARAM_NAMES`` order, shaped like the
-    parameters).
+    (biases excluded). The batch runs as one stacked graph; for the value
+    head it may also be given stacked, as a :class:`GraphBatch`, so that one
+    stacking serves a gradient and the loss evaluations that follow it.
+    Returns (loss value, gradient dict in ``PARAM_NAMES`` order, shaped like
+    the parameters).
     """
     if head not in ("policy", "value"):
         raise ValueError(f"unknown loss head {head!r}")
-    batch = list(batch)
+    if isinstance(batch, GraphBatch):
+        g = batch
+    else:
+        batch = list(batch)
+        g = stack_observations(obs for obs, _c, _a in batch)
     P = params.arrays
-    g = stack_observations(obs for obs, _c, _a in batch)
     grads: dict[str, np.ndarray] = {}
     ridge = 0.0
     if head == "policy":
@@ -428,7 +458,12 @@ def policy_loss(params: GcnnParameters, batch) -> float:
 
 
 def value_loss(params: GcnnParameters, batch, returns, penalty: float, ridge: float) -> float:
-    values = state_values(params, (obs for obs, _c, _a in batch))
+    """The envelope loss of :func:`grad`'s value head, over (obs, cand,
+    action) triples scored in chunks or over one :class:`GraphBatch`."""
+    if isinstance(batch, GraphBatch):
+        values = _forward(params.arrays, batch)[1].ravel()
+    else:
+        values = state_values(params, (obs for obs, _c, _a in batch))
     returns = np.asarray(returns, dtype=np.float64)
     total = float((_penalty_weights(values, returns, penalty) * (values - returns) ** 2).sum())
     if ridge > 0:

@@ -47,6 +47,25 @@ class BipartiteObservation:
     edge_col: np.ndarray           # (nnz,) variable index
     edge_val: np.ndarray           # (nnz,) normalized coefficient
 
+    def __post_init__(self):
+        """Check the graph's structure once, where it is built: an edge index
+        outside its side would otherwise land on another graph's node once
+        observations are stacked. The feature widths are checked where the
+        network reads them (``gnn.stack_observations``)."""
+        if self.var_features.ndim != 2 or self.cons_features.ndim != 2:
+            raise ValueError("observation feature arrays must be 2-D")
+        row, col, val = self.edge_row, self.edge_col, self.edge_val
+        if not (row.ndim == col.ndim == val.ndim == 1 and len(row) == len(col) == len(val)):
+            raise ValueError("observation edge arrays must be 1-D and of equal length")
+        if row.dtype.kind not in "iu" or col.dtype.kind not in "iu":
+            raise ValueError("observation edge indices must be integers")
+        if len(row) and not (0 <= row.min() and row.max() < self.num_cons
+                             and 0 <= col.min() and col.max() < self.num_vars):
+            raise ValueError(
+                f"observation edge index outside {self.num_cons} constraints "
+                f"and {self.num_vars} variables"
+            )
+
     @property
     def num_vars(self) -> int:
         return self.var_features.shape[0]

@@ -22,6 +22,7 @@ from .gnn import (
     init_params,
     prenormalize,
     sgd_step,
+    stack_observations,
     state_values,
     value_loss,
 )
@@ -175,7 +176,8 @@ def train_envelope(
         order = rng.permutation(len(batch))
         for lo in range(0, len(order), _BATCH):
             idx = order[lo:lo + _BATCH]
-            part = [batch[i] for i in idx]
+            # one stacked graph serves the gradient and every step-size trial
+            part = stack_observations(entries[i].obs for i in idx)
             ridge = config.ridge * len(idx) / len(batch)
             try:
                 before, grads = grad(params, part, "value", returns=z[idx],

@@ -4,7 +4,8 @@ These deliberately avoid the library's own solver paths: LP optima come from
 dense vertex enumeration, MILP optima from exhaustive enumeration of binary
 assignments or of small integer boxes, the simplex ratio test from a plain
 numpy-scalar loop, simplex pricing from the boolean-mask rule it replaced,
-and statistical claims from an exact binomial tail.
+the GCNN's half-convolutions from their edge-level form, and statistical
+claims from an exact binomial tail.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from branchlab.gnn import GraphBatch, segment_sum
 from branchlab.simplex import _AT_LOWER, _AT_UPPER, _FREE
 
 
@@ -162,3 +166,73 @@ def brute_force_integer(inst, max_points=100_000, tol=1e-9):
 def sign_test_p_value(wins: int, trials: int) -> float:
     """One-sided exact binomial tail P(X >= wins) under fair-coin null."""
     return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2.0**trials
+
+
+# ---------------------------------------------------------------------------
+# The GCNN half-convolution in its edge-level form: every message is a
+# two-layer perceptron evaluated on its edge, so each weight multiplies an
+# (edges x hidden) array. Kept as the reference for the node-level rewrite;
+# it has the signatures of ``gnn._half_conv`` and ``gnn._half_conv_backward``
+# and can stand in for them.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EdgePass:
+    """What one half-convolution computed, kept for the backward."""
+
+    msg: str
+    upd: str
+    cons: np.ndarray       # constraint embeddings read by the messages
+    var: np.ndarray        # variable embeddings read by the messages
+    to_cons: bool          # receiving side: constraints, else variables
+    act: np.ndarray        # (E, HIDDEN) relu of the message pre-activations
+    raw: np.ndarray        # summed messages before the prenormalisation scale
+    agg: np.ndarray        # raw times the scale
+    hidden: np.ndarray     # relu of the update's pre-activations
+
+    @property
+    def own(self) -> np.ndarray:
+        return self.cons if self.to_cons else self.var
+
+
+def half_conv_edges(P, msg: str, upd: str, cons, var, g: GraphBatch, to_cons: bool):
+    """One half-convolution: a message per edge from both endpoint embeddings
+    and the edge value, summed into the receiving side and prenormalised, then
+    the update. Returns the update's output and its :class:`EdgePass`."""
+    pre = ((cons[g.edge_row] @ P[f"{msg}_w_c"] + var[g.edge_col] @ P[f"{msg}_w_v"])
+           + (g.edge_val @ P[f"{msg}_w_e"] + P[f"{msg}_b1"]))
+    act = np.maximum(pre, 0.0)
+    own, idx = (cons, g.edge_row) if to_cons else (var, g.edge_col)
+    raw = segment_sum(act @ P[f"{msg}_w2"] + P[f"{msg}_b2"], idx, own.shape[0])
+    agg = raw * P[f"{msg}_norm"]
+    hidden = np.maximum((own @ P[f"{upd}_w_self"] + agg @ P[f"{upd}_w_agg"]) + P[f"{upd}_b1"],
+                        0.0)
+    out = hidden @ P[f"{upd}_w2"] + P[f"{upd}_b2"]
+    return out, EdgePass(msg, upd, cons, var, to_cons, act, raw, agg, hidden)
+
+
+def half_conv_edges_backward(P, p: EdgePass, g: GraphBatch, d_out: np.ndarray, grads: dict):
+    """Backward of one half-convolution. Stores its parameter gradients in
+    ``grads`` and returns the gradients reaching the receiving side's own
+    embedding (the update's self term) and, through the edge gathers, the
+    constraint and the variable embeddings."""
+    msg, upd = p.msg, p.upd
+    grads[f"{upd}_w2"] = p.hidden.T @ d_out
+    grads[f"{upd}_b2"] = d_out.sum(axis=0)
+    d_hid = (d_out @ P[f"{upd}_w2"].T) * (p.hidden > 0.0)
+    grads[f"{upd}_b1"] = d_hid.sum(axis=0)
+    grads[f"{upd}_w_self"] = p.own.T @ d_hid
+    grads[f"{upd}_w_agg"] = p.agg.T @ d_hid
+    d_own = d_hid @ P[f"{upd}_w_self"].T
+    idx = g.edge_row if p.to_cons else g.edge_col
+    d_msg = ((d_hid @ P[f"{upd}_w_agg"].T) * P[f"{msg}_norm"])[idx]
+    grads[f"{msg}_w2"] = p.act.T @ d_msg
+    grads[f"{msg}_b2"] = d_msg.sum(axis=0)
+    d_pre = (d_msg @ P[f"{msg}_w2"].T) * (p.act > 0.0)
+    grads[f"{msg}_b1"] = d_pre.sum(axis=0)
+    grads[f"{msg}_w_e"] = g.edge_val.T @ d_pre
+    grads[f"{msg}_w_c"] = p.cons[g.edge_row].T @ d_pre
+    grads[f"{msg}_w_v"] = p.var[g.edge_col].T @ d_pre
+    d_cons = segment_sum(d_pre @ P[f"{msg}_w_c"].T, g.edge_row, p.cons.shape[0])
+    d_var = segment_sum(d_pre @ P[f"{msg}_w_v"].T, g.edge_col, p.var.shape[0])
+    return d_own, d_cons, d_var

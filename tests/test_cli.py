@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -283,3 +284,19 @@ def test_cli_import_sets_only_unset_blas_thread_variables():
         f"print(json.dumps({{v: os.environ.get(v) for v in {_BLAS_VARS!r}}}))",
         OMP_NUM_THREADS="3")
     assert got == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+
+
+def test_stage_manifests_record_wall_time(tmp_path):
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 3, "family.test_count": 2,
+                                  "train.epochs": 2, "train.checkpoint_every": 1})
+    dirs = {"collect": "episodes", "select": "selected", "train": "checkpoints",
+            "evaluate": "reports"}
+    assert _run("generate", ov) == 0
+    for stage, directory in dirs.items():
+        assert _run(stage, ov) == 0, stage
+        wall = json.loads((root / directory / "manifest.json").read_text())["wall_s"]
+        assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0.0, stage
+    # evaluation reports stay free of timings: reruns compare them byte for byte
+    for path in (root / "reports").glob("eval_*.json"):
+        assert "wall_s" not in path.read_text()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from branchlab.instances import InstanceFamilySpec, generate_instance
 from branchlab.observation import BipartiteObservation, VAR_FEATURES, CONS_FEATURES, extract_observation
 from branchlab.rules import PseudocostPolicy
 from branchlab.simplex import SimplexSolver
+
+from . import oracles
 
 
 def collect_states(min_candidates=2, count=6, family="multi-knapsack", n=12, m=4):
@@ -478,3 +481,110 @@ def test_width_mismatch_rejected():
     )
     with pytest.raises(gnn.GcnnError, match="width"):
         gnn.forward_numpy(params, bad)
+
+
+def _network_outputs(params, batch, returns):
+    """Stacked logits, values, both heads' gradients (each head's parameter
+    gradients as one vector) and the scales that prenormalisation fixes."""
+    observations = [obs for obs, _c, _a in batch]
+    fresh = gnn.init_params(9)
+    gnn.prenormalize(fresh, observations)
+    logits, values, _ = gnn._forward(params.arrays, gnn.stack_observations(observations))
+    heads = {
+        head: gnn.grad(params, batch, head, **kwargs)[1]
+        for head, kwargs in (("policy", {}),
+                             ("value", dict(returns=returns, penalty=1000.0, ridge=1e-4)))
+    }
+    out = {"logits": logits, "values": values,
+           "scales": np.concatenate([fresh.arrays[n] for n in gnn.NORM_NAMES])}
+    out.update({head: np.concatenate([g[n].ravel() for n in gnn.PARAM_NAMES])
+                for head, g in heads.items()})
+    return out
+
+
+def test_node_level_half_convolutions_match_edge_level_reference(monkeypatch):
+    """The half-convolutions multiply node arrays; on seeded stacked batches
+    they compute what the edge-level form in ``tests/oracles.py`` computes, to
+    within 1e-12 of each output's largest entry. The batches mix sizes and
+    hold a graph without constraints and a graph whose first variable and
+    first constraint have no edges."""
+    rng = np.random.default_rng(1906)
+    for trial in range(6):
+        batch = []
+        for _ in range(5):
+            n, m = int(rng.integers(2, 17)), int(rng.integers(1, 6))
+            batch.append(random_observation(rng, n=n, m=m, density=float(rng.uniform(0.3, 1.0))))
+        batch.append(BipartiteObservation(
+            rng.uniform(-1, 1, (4, VAR_FEATURES)), np.zeros((0, CONS_FEATURES)),
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+        ))
+        rows, cols = np.nonzero(rng.random((4, 7)) < 0.8)
+        keep = (rows > 0) & (cols > 0)
+        batch.append(BipartiteObservation(
+            rng.uniform(-1, 1, (7, VAR_FEATURES)), rng.uniform(-1, 1, (4, CONS_FEATURES)),
+            rows[keep].astype(np.int64), cols[keep].astype(np.int64),
+            rng.uniform(-1, 1, int(keep.sum())),
+        ))
+        order = rng.permutation(len(batch))
+        triples = []
+        for k in order:
+            obs = batch[k]
+            cand = tuple(sorted(rng.choice(obs.num_vars, size=min(3, obs.num_vars),
+                                           replace=False).tolist()))
+            triples.append((obs, cand, int(rng.choice(cand))))
+        params = gnn.init_params(trial)
+        gnn.prenormalize(params, (obs for obs, _c, _a in triples))
+        returns = rng.normal(0.0, 1.0, len(triples))
+
+        node_level = _network_outputs(params, triples, returns)
+        with monkeypatch.context() as patch:
+            patch.setattr(gnn, "_half_conv", oracles.half_conv_edges)
+            patch.setattr(gnn, "_half_conv_backward", oracles.half_conv_edges_backward)
+            reference = _network_outputs(params, triples, returns)
+        for key, ref in reference.items():
+            err = float(np.abs(node_level[key] - ref).max())
+            assert err <= 1e-12 * float(np.abs(ref).max()), (trial, key, err)
+
+
+def _dense_state(rng, n=16, m=3):
+    rows, cols = np.divmod(np.arange(m * n), n)
+    return BipartiteObservation(
+        rng.uniform(-1, 1, (n, VAR_FEATURES)), rng.uniform(-1, 1, (m, CONS_FEATURES)),
+        rows.astype(np.int64), cols.astype(np.int64), rng.uniform(-1, 1, m * n),
+    )
+
+
+def _traced_peak(fn) -> int:
+    """Bytes that ``fn()`` holds at its peak, as tracemalloc counts them
+    (numpy reports its array buffers to it)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_gcnn_memory_grows_with_nodes_not_edge_products():
+    """Memory guard on 16x3 knapsack-sized states with every edge present
+    (48 edges per state). The value-head gradient of 256 states peaked at
+    29.6 MB when every message layer ran on the edges, and at 20.0 MB
+    (numpy 2.4) with the node-level form; a value-only forward over 1024
+    states must stay below that gradient's peak, so that it is never the
+    envelope fit's peak."""
+    rng = np.random.default_rng(5)
+    states = [_dense_state(rng) for _ in range(1024)]
+    batch = [(obs, (0, 1, 2), 1) for obs in states[:256]]
+    params = gnn.init_params(1)
+    returns = rng.normal(0.0, 1.0, len(batch))
+
+    grad_peak = _traced_peak(lambda: gnn.grad(params, batch, "value", returns=returns,
+                                              penalty=1000.0, ridge=1e-4))
+    values_peak = _traced_peak(lambda: gnn.state_values(params, states))
+    assert grad_peak < 22 * 2**20
+    assert values_peak < grad_peak

@@ -146,3 +146,28 @@ def test_digest_collision_scan():
         seen[digest] = key
         states += 1
     assert len(seen) > 1500
+
+
+def test_edges_checked_at_construction():
+    """An edge index outside its graph is refused where the observation is
+    built. Unchecked, a stacked batch wired such an edge to the next graph's
+    node, while the same observation alone failed with an IndexError."""
+    rng = np.random.default_rng(3)
+    var, cons = rng.uniform(-1, 1, (3, VAR_FEATURES)), rng.uniform(-1, 1, (2, CONS_FEATURES))
+    row, col, val = np.array([0, 1]), np.array([2, 0]), np.array([0.5, -0.5])
+    BipartiteObservation(var, cons, row, col, val)
+    BipartiteObservation(var, np.zeros((0, CONS_FEATURES)), row[:0], col[:0], val[:0])
+    bad = [
+        (var, cons, np.array([0, 2]), col, val),          # constraint 2 of 2
+        (var, cons, np.array([0, -1]), col, val),         # negative constraint
+        (var, cons, row, np.array([3, 0]), val),          # variable 3 of 3
+        (var, cons, row, np.array([0, -1]), val),         # negative variable
+        (var, cons, row, col, val[:1]),                   # unequal lengths
+        (var, cons, row.reshape(2, 1), col.reshape(2, 1), val.reshape(2, 1)),
+        (var, cons, row.astype(float), col, val),         # non-integer indices
+        (var[0], cons, row, col, val),                    # 1-D features
+        (var, cons[0], row, col, val),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="observation"):
+            BipartiteObservation(*args)

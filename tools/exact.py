@@ -19,8 +19,12 @@ results are never compared against stored digests. Probes:
   sibling's bound, and children that tighten two bounds at once;
 - ``lp-infeasible-start``: random LPs whose slack basis violates rows, and
   their children;
+- ``gcnn``: on one seeded batch of five graphs of mixed sizes (one without
+  constraints), the hex of every logit, every value, both loss heads' losses
+  and gradients, and the prenormalisation scales;
 - ``run-root``: every file of a seed-11 run root after all seven CLI stages
-  at 16/4/8 instances.
+  at 16/4/8 instances. A manifest is compared without its ``wall_s``, the
+  stage's wall time.
 
 An LP item is the hex of every ``LpSolution`` field. Prints one JSON line
 with, per probe, the equal and differing item counts and the first differing
@@ -180,6 +184,45 @@ def probe_lps(kind: str) -> dict[str, str]:
     return items
 
 
+def probe_gcnn() -> dict[str, str]:
+    from branchlab import gnn
+    from branchlab.observation import CONS_FEATURES, VAR_FEATURES, BipartiteObservation
+
+    def hexes(a):
+        return json.dumps([float(v).hex() for v in np.ravel(a)])
+
+    rng = np.random.default_rng(41)
+    batch = []
+    for n, m in ((16, 3), (9, 4), (5, 0), (12, 6), (16, 3)):
+        rows, cols = np.nonzero(rng.random((m, n)) < 0.7)
+        obs = BipartiteObservation(
+            rng.uniform(-1, 1, (n, VAR_FEATURES)), rng.uniform(-1, 1, (m, CONS_FEATURES)),
+            rows.astype(np.int64), cols.astype(np.int64), rng.uniform(-1, 1, len(rows)))
+        cand = tuple(sorted(rng.choice(n, size=4, replace=False).tolist()))
+        batch.append((obs, cand, cand[int(rng.integers(4))]))
+    returns = rng.normal(0.0, 1.0, len(batch))
+    params = gnn.init_params(3)
+    gnn.prenormalize(params, (obs for obs, _c, _a in batch))
+    items = {f"scale/{name}": hexes(params.arrays[name]) for name in gnn.NORM_NAMES}
+    for k, (obs, _c, _a) in enumerate(batch):
+        items[f"logits/{k}"] = hexes(gnn.forward_numpy(params, obs)[0])
+    items["values"] = hexes(gnn.state_values(params, (obs for obs, _c, _a in batch)))
+    for head, kwargs in (("policy", {}),
+                         ("value", {"returns": returns, "penalty": 1000.0, "ridge": 1e-4})):
+        loss, grads = gnn.grad(params, batch, head, **kwargs)
+        items[f"{head}/loss"] = hexes(loss)
+        items.update({f"{head}/{name}": hexes(grads[name]) for name in gnn.PARAM_NAMES})
+    return items
+
+
+def _file_digest(path: Path) -> str:
+    if path.name != "manifest.json":
+        return _digest(path.read_bytes())
+    manifest = json.loads(path.read_text())
+    manifest.pop("wall_s", None)
+    return _digest(json.dumps(manifest, sort_keys=True))
+
+
 def probe_run_root() -> dict[str, str]:
     from branchlab import cli
 
@@ -193,7 +236,7 @@ def probe_run_root() -> dict[str, str]:
                 if code != 0:
                     return {f"exit/{stage}": str(code)}
             root = Path(RUN_ROOT_CONFIG["run.root"])
-            return {str(p.relative_to(root)): _digest(p.read_bytes())
+            return {str(p.relative_to(root)): _file_digest(p)
                     for p in sorted(root.rglob("*")) if p.is_file()}
         finally:
             os.chdir(cwd)
@@ -205,6 +248,7 @@ PROBES = {
     "lp-children": lambda: probe_lps("lp-children"),
     "lp-siblings": lambda: probe_lps("lp-siblings"),
     "lp-infeasible-start": lambda: probe_lps("lp-infeasible-start"),
+    "gcnn": probe_gcnn,
     "run-root": probe_run_root,
 }
 
