@@ -245,12 +245,11 @@ class NodeContext:
 
 
 class _Engine:
-    def __init__(self, inst, policy, budget, seed, record_episode, lp_iter_limit):
+    def __init__(self, inst, policy, budget, seed, record_episode):
         self.inst = inst
         self.policy = policy
         self.budget = budget
         self.record_episode = record_episode
-        self.lp_iter_limit = lp_iter_limit
         self.solver = SimplexSolver(inst)
         self.pc = PseudocostStore(inst.num_vars)
         self.rng = np.random.default_rng([seed, stable_key(inst.name)])
@@ -277,7 +276,7 @@ class _Engine:
     # -- LP plumbing -----------------------------------------------------------
 
     def _solve_lp(self, overrides, warm) -> LpSolution:
-        sol = self.solver.solve(overrides, warm=warm, iter_limit=self.lp_iter_limit)
+        sol = self.solver.solve(overrides, warm=warm)
         self.iterations += sol.iterations
         return _checked(sol)
 
@@ -286,9 +285,7 @@ class _Engine:
         node's LP. Each optimal child is checked against the parent (a
         tightened child cannot beat it beyond ``FEAS_TOL``) and folded into
         the pseudocosts; this is the only place either happens."""
-        down, up = self.solver.probe_children(
-            node.overrides, node.lp, j, iter_limit=self.lp_iter_limit
-        )
+        down, up = self.solver.probe_children(node.overrides, node.lp, j)
         self.iterations += down.iterations + up.iterations
         parent_obj = node.lp.objective
         xj = float(node.lp.x[j])
@@ -370,7 +367,7 @@ class _Engine:
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> SolveResult:
-        root = self.solver.solve(iter_limit=self.lp_iter_limit)
+        root = self.solver.solve()
         self.iterations += root.iterations
         if root.status is LpStatus.UNBOUNDED:
             raise ValueError("root relaxation is unbounded; instance violates preconditions")
@@ -496,8 +493,7 @@ def solve(
     budget: Budget,
     seed: int = 0,
     record_episode: bool = True,
-    lp_iter_limit: int = 100_000,
 ) -> SolveResult:
     """Run branch and bound on one instance under the given policy and budget."""
-    engine = _Engine(inst, policy, budget, seed, record_episode, lp_iter_limit)
+    engine = _Engine(inst, policy, budget, seed, record_episode)
     return engine.run()

@@ -51,7 +51,7 @@ from .instances import (
 )
 from .observation import CATALOG_VERSION, state_digest
 from .rules import STANDARD_POLICIES, HybridExpertPolicy
-from .selection import EnvelopeConfig, compute_returns, select_top, train_envelope
+from .selection import EnvelopeConfig, compute_returns, select_top, shift_to_positive, train_envelope
 from .trajectories import read_episode_file, read_states, write_episode_file
 
 EXIT_OK = 0
@@ -220,10 +220,8 @@ def cmd_select(cfg: Config) -> int:
         p=cfg.get_float("select.p"),
         seed=cfg.get_int("run.seed"),
     )
-    params, env_report = train_envelope(returns, env_cfg)
-    from .selection import envelope_values, shift_to_positive
-
-    values = envelope_values(params, returns.entries)
+    _params, env_report = train_envelope(returns, env_cfg)
+    values = env_report.values
     selected, threshold = select_top(returns.entries, values, env_cfg.p)
     lengths = {ep.instance: len(ep.transitions) for ep in episodes}
     positions = [e.t / lengths[e.episode] for e in selected]
@@ -350,6 +348,11 @@ def _eval_budget(cfg: Config) -> Budget:
 
 def cmd_evaluate(cfg: Config) -> int:
     started = time.perf_counter()
+    baselines = [name.strip() for name in cfg.get("eval.baselines").split(",") if name.strip()]
+    for name in baselines:
+        if name not in STANDARD_POLICIES:
+            raise ConfigError(f"eval.baselines: unknown policy {name!r}; known policies: "
+                              f"{', '.join(sorted(STANDARD_POLICIES))}")
     ck_dir = Path(cfg.get("run.root")) / "checkpoints"
     manifest = _read_manifest(ck_dir)
     _check_stamp(cfg, manifest, "checkpoints")
@@ -369,10 +372,7 @@ def cmd_evaluate(cfg: Config) -> int:
 
     params = load_checkpoint(ck_dir / f"{best_id}.npz")
     policies = [GcnnPolicy(params, name=f"gcnn:{best_id}")]
-    for name in cfg.get("eval.baselines").split(","):
-        name = name.strip()
-        if name:
-            policies.append(STANDARD_POLICIES[name]())
+    policies += [STANDARD_POLICIES[name]() for name in baselines]
     files = {"checkpoint_table.json": _sha256(out / "checkpoint_table.json")}
     for policy in policies:
         report = evaluate_policy(

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .bnb import Budget, solve
-from .gnn import GcnnPolicy, load_checkpoint, policy_loss
+from .gnn import GcnnPolicy, load_checkpoint, policy_loss, stack_states
 from .rules import BranchingPolicy
 
 
@@ -200,12 +200,14 @@ def select_best_checkpoint(
 ) -> tuple[str, list[CheckpointEntry]]:
     """Evaluate every checkpoint and pick the highest mean cumulative reward.
 
-    ``valid_batch`` (obs, cand, action) triples recompute the cross-entropy
-    loss per checkpoint; otherwise the loss stored at save time is reported.
-    Ties go to the later checkpoint. Raises if no checkpoint loads.
+    ``valid_batch`` (obs, cand, action) triples are stacked once to recompute
+    the cross-entropy loss per checkpoint; otherwise the loss stored at save
+    time is reported. Ties go to the later checkpoint. Raises if none loads.
     """
     if not checkpoints:
         raise ValueError("no checkpoints given")
+    if valid_batch is not None:
+        valid_batch = stack_states(valid_batch)
     table: list[CheckpointEntry] = []
     for cid, path in checkpoints:
         try:

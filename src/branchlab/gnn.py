@@ -42,13 +42,22 @@ term + message gather), variable embeddings as (second update's self term +
 first pass's message gather) + second pass's message gather; a weight's
 ridge term is added after its network term. Results are therefore
 reproducible bit for bit.
+
+Every function that takes many states takes one stacked :class:`GraphBatch`,
+which the owner of the states builds, with the policy's labels where needed
+(:func:`stack_states`), and builds once where it keeps the set. Scorers run
+it 256 graphs at a time (:func:`_chunks`). Each head's loss is written once
+(:func:`_policy_loss`, :func:`_envelope_loss`), so :func:`grad` and the
+scorers agree on it bit for bit. The envelope fit stacks its full set anew
+for each full-set score: kept across passes, the stacked copy lives through
+every gradient step's peak (``pipeline`` peak RSS +1.5 MB, seed 2).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +132,7 @@ def init_params(seed: int = 0, zero: bool = False) -> GcnnParameters:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Disjoint union of observations: edge, candidate and action indices are
+    """Disjoint union of states: edge, candidate and action indices are
     offset into the stacked variable and constraint arrays."""
 
     var_features: np.ndarray    # (N, VAR_FEATURES)
@@ -133,25 +142,27 @@ class GraphBatch:
     edge_val: np.ndarray        # (E, 1)
     var_graph: np.ndarray       # (N,) graph of each variable
     pool_scale: np.ndarray      # (B, 1) 1 / number of variables
-    var_offset: np.ndarray      # (B,) first stacked variable of each graph
+    starts: np.ndarray          # (B + 1, 3) first variable, constraint and edge of each graph
+    # stacked candidates, the graph of each, and each graph's stacked expert action
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_graphs(self) -> int:
-        return len(self.var_offset)
+        return len(self.pool_scale)
 
 
 def stack_observations(observations) -> GraphBatch:
     observations = list(observations)
     if not observations:
         raise ValueError("empty observation batch")
-    n = np.array([obs.num_vars for obs in observations], dtype=np.int64)
-    m = np.array([obs.num_cons for obs in observations], dtype=np.int64)
-    var_offset = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
-    cons_offset = np.concatenate([[0], np.cumsum(m)[:-1]]).astype(np.int64)
+    sizes = np.array([(o.num_vars, o.num_cons, len(o.edge_val)) for o in observations],
+                     dtype=np.int64)
+    starts = np.zeros((len(observations) + 1, 3), dtype=np.int64)
+    np.cumsum(sizes, axis=0, out=starts[1:])
     row = np.concatenate([np.asarray(o.edge_row, dtype=np.int64) + off
-                          for o, off in zip(observations, cons_offset)])
+                          for o, off in zip(observations, starts[:-1, 1])])
     col = np.concatenate([np.asarray(o.edge_col, dtype=np.int64) + off
-                          for o, off in zip(observations, var_offset)])
+                          for o, off in zip(observations, starts[:-1, 0])])
     return GraphBatch(
         var_features=_stack_rows([o.var_features for o in observations],
                                  VAR_FEATURES, "variable"),
@@ -160,10 +171,44 @@ def stack_observations(observations) -> GraphBatch:
         edge_row=row,
         edge_col=col,
         edge_val=np.concatenate([o.edge_val for o in observations]).reshape(-1, 1),
-        var_graph=np.repeat(np.arange(len(observations), dtype=np.int64), n),
-        pool_scale=(1.0 / np.maximum(n, 1)).reshape(-1, 1),
-        var_offset=var_offset,
+        var_graph=np.repeat(np.arange(len(observations), dtype=np.int64), sizes[:, 0]),
+        pool_scale=1.0 / np.maximum(sizes[:, :1], 1),
+        starts=starts,
     )
+
+
+def stack_states(states) -> GraphBatch:
+    """Stack (obs, cand, action) triples with the labels that the policy
+    loss reads (:attr:`GraphBatch.labels`)."""
+    states = list(states)
+    g = stack_observations(obs for obs, _c, _a in states)
+    cand_idx, cand_graph, action_idx = [], [], []
+    for k, (_obs, cand, action) in enumerate(states):
+        cand = [int(c) for c in cand]
+        if int(action) not in cand:
+            raise ValueError(f"action {action} is not a candidate {tuple(cand)}")
+        off = int(g.starts[k, 0])
+        cand_idx.extend(c + off for c in cand)
+        cand_graph.extend([k] * len(cand))
+        action_idx.append(int(action) + off)
+    return replace(g, labels=tuple(np.asarray(a, dtype=np.int64)
+                                   for a in (cand_idx, cand_graph, action_idx)))
+
+
+_CHUNK = 256    # graphs per forward when scoring many states
+
+
+def _chunks(g: GraphBatch):
+    """The batch in pieces of at most ``_CHUNK`` graphs, without labels, for
+    the forwards that score many states; indices count from each piece."""
+    for lo in range(0, g.num_graphs, _CHUNK):
+        hi = min(lo + _CHUNK, g.num_graphs)
+        (v0, c0, e0), (v1, c1, e1) = g.starts[lo], g.starts[hi]
+        yield GraphBatch(
+            g.var_features[v0:v1], g.cons_features[c0:c1],
+            g.edge_row[e0:e1] - c0, g.edge_col[e0:e1] - v0, g.edge_val[e0:e1],
+            g.var_graph[v0:v1] - lo, g.pool_scale[lo:hi], g.starts[lo:hi + 1] - g.starts[lo],
+        )
 
 
 def _stack_rows(arrays: list[np.ndarray], width: int, what: str) -> np.ndarray:
@@ -297,21 +342,14 @@ def forward_numpy(params: GcnnParameters, obs: BipartiteObservation) -> tuple[np
     return logits.ravel(), float(values[0, 0])
 
 
-_CHUNK = 256    # graphs per forward when scoring many states
+def state_values(params: GcnnParameters, g: GraphBatch) -> np.ndarray:
+    """Value-head outputs of a stacked batch, forwarded in pieces."""
+    return np.concatenate([_forward(params.arrays, c)[1] for c in _chunks(g)]).ravel()
 
 
-def state_values(params: GcnnParameters, observations) -> np.ndarray:
-    """Value-head outputs for many observations, stacked in chunks."""
-    observations = list(observations)
-    out = [
-        _forward(params.arrays, stack_observations(observations[i:i + _CHUNK]))[1]
-        for i in range(0, len(observations), _CHUNK)
-    ]
-    return np.concatenate(out).ravel() if out else np.zeros(0)
-
-
-def prenormalize(params: GcnnParameters, observations) -> None:
-    """Fix the prenormalisation scales from the given states, in place.
+def prenormalize(params: GcnnParameters, g: GraphBatch) -> None:
+    """Fix the prenormalisation scales from a stacked batch of states, in
+    place.
 
     Gasse et al. (2019) prenormalise the summed messages once from training
     data before gradient training. Messages are not shifted here, so each
@@ -319,14 +357,13 @@ def prenormalize(params: GcnnParameters, observations) -> None:
     (node and channel) of the given states, taken with the earlier scale
     already fixed; a pass whose sums are all but zero keeps scale 1.
     """
-    observations = list(observations)
     for name in NORM_NAMES:
         params.arrays[name][:] = 1.0
     for name in NORM_NAMES:
         msg = name.split("_")[0]
         squares, count = 0.0, 0
-        for i in range(0, len(observations), _CHUNK):
-            raw = _forward(params.arrays, stack_observations(observations[i:i + _CHUNK]))[2][msg].raw
+        for c in _chunks(g):
+            raw = _forward(params.arrays, c)[2][msg].raw
             squares += float((raw ** 2).sum())
             count += raw.size
         rms = math.sqrt(squares / count) if count else 0.0
@@ -355,76 +392,65 @@ def predict_branch(params: GcnnParameters, obs: BipartiteObservation,
 # Losses: the masked-softmax cross-entropy and the penalized envelope loss
 # ---------------------------------------------------------------------------
 
-def _labels(g: GraphBatch, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked candidate indices, the graph of each candidate, and the
-    stacked expert action of each graph."""
-    cand_idx, cand_graph, action_idx = [], [], []
-    for k, (_obs, cand, action) in enumerate(batch):
-        cand = [int(c) for c in cand]
-        if int(action) not in cand:
-            raise ValueError(f"action {action} is not a candidate {tuple(cand)}")
-        off = int(g.var_offset[k])
-        cand_idx.extend(c + off for c in cand)
-        cand_graph.extend([k] * len(cand))
-        action_idx.append(int(action) + off)
-    return tuple(np.asarray(a, dtype=np.int64) for a in (cand_idx, cand_graph, action_idx))
+def _policy_loss(logits: np.ndarray, g: GraphBatch) -> tuple[float, np.ndarray]:
+    """Mean negative log-probability of the expert actions under the softmax
+    over each graph's candidates, and its gradient in the logits."""
+    if g.labels is None:
+        raise ValueError("the policy loss needs states stacked with their labels")
+    cand_idx, cand_graph, action_idx = g.labels
+    z = logits[cand_idx].reshape(-1)
+    lse = segment_logsumexp(z, cand_graph, g.num_graphs)
+    nll = lse.reshape(-1, 1) - logits[action_idx]
+    d_nll = np.full_like(nll, 1.0 / g.num_graphs)
+    softmax = np.exp(z - lse[cand_graph]).reshape(-1, 1)
+    d_logits = (segment_sum(softmax * d_nll[cand_graph], cand_idx, logits.shape[0])
+                + segment_sum(-d_nll, action_idx, logits.shape[0]))
+    # summed _CHUNK graphs at a time, in the order the loss curves always used
+    total = sum(float(nll[i:i + _CHUNK].sum()) for i in range(0, g.num_graphs, _CHUNK))
+    return total / g.num_graphs, d_logits
 
 
-def _penalty_weights(values: np.ndarray, returns: np.ndarray, penalty: float) -> np.ndarray:
-    """Undershooting a return costs ``penalty`` times more; exactly at the
-    kink the non-penalized branch is used."""
-    return np.where(values >= returns, 1.0, penalty)
-
-
-def grad(params: GcnnParameters, batch, head: str, **kwargs):
-    """Exact gradients of one loss head, by the hand-written backward.
-
-    head: "policy" for the mean negative log-probability of the expert
-    actions under the masked softmax, over (obs, cand, action) triples; or
-    "value" for the envelope loss (pass ``returns``, ``penalty``, ``ridge``):
+def _envelope_loss(P, values: np.ndarray, returns, penalty: float,
+                   ridge: float) -> tuple[float, np.ndarray]:
+    """Penalized envelope loss of the values (B,) and its gradient in them:
     squared errors, undershoots weighted ``penalty`` times more (the
     indicator is read at the current value; exactly at the kink the
     non-penalized branch is used), plus ``ridge`` times the squared weights
-    (biases excluded). The batch runs as one stacked graph; for the value
-    head it may also be given stacked, as a :class:`GraphBatch`, so that one
-    stacking serves a gradient and the loss evaluations that follow it.
-    Returns (loss value, gradient dict in ``PARAM_NAMES`` order, shaped like
-    the parameters).
+    (biases excluded)."""
+    returns = np.asarray(returns, dtype=np.float64)
+    diff = values - returns
+    w = np.where(values >= returns, 1.0, penalty)
+    loss = float((diff**2 * w).sum())
+    if ridge > 0:
+        loss += sum(float((P[name] ** 2).sum()) for name in WEIGHT_NAMES) * ridge
+    return loss, 2.0 * diff * w
+
+
+def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
+    """Exact gradients of one loss head over a stacked batch, by the
+    hand-written backward.
+
+    head: "policy" for :func:`policy_loss` (on a batch stacked with labels);
+    or "value" for :func:`value_loss` (pass ``returns``, ``penalty``,
+    ``ridge``). Returns (the same loss as those scorers', gradient dict in
+    ``PARAM_NAMES`` order, shaped like the parameters).
     """
     if head not in ("policy", "value"):
         raise ValueError(f"unknown loss head {head!r}")
-    if isinstance(batch, GraphBatch):
-        g = batch
-    else:
-        batch = list(batch)
-        g = stack_observations(obs for obs, _c, _a in batch)
     P = params.arrays
     grads: dict[str, np.ndarray] = {}
     ridge = 0.0
+    logits, values, acts = _forward(P, g)
     if head == "policy":
-        cand_idx, cand_graph, action_idx = _labels(g, batch)
-        logits, _, acts = _forward(P, g)
-        z = logits[cand_idx].reshape(-1)
-        lse = segment_logsumexp(z, cand_graph, g.num_graphs)
-        nll = lse.reshape(-1, 1) - logits[action_idx]
-        loss = nll.sum() * (1.0 / g.num_graphs)
-        d_nll = np.full_like(nll, 1.0 / g.num_graphs)
-        softmax = np.exp(z - lse[cand_graph]).reshape(-1, 1)
-        d_logits = (segment_sum(softmax * d_nll[cand_graph], cand_idx, logits.shape[0])
-                    + segment_sum(-d_nll, action_idx, logits.shape[0]))
+        loss, d_logits = _policy_loss(logits, g)
         grads["pol_w"] = acts["V1"].T @ d_logits
         grads["pol_b"] = d_logits.sum(axis=0)
         d_V1 = d_logits @ P["pol_w"].T
     else:
-        target = np.asarray(kwargs["returns"], dtype=np.float64).reshape(-1, 1)
-        penalty, ridge = kwargs.get("penalty", 1000.0), kwargs.get("ridge", 0.0)
-        _, values, acts = _forward(P, g)
-        diff = values - target
-        w = _penalty_weights(values, target, penalty)
-        loss = (diff**2 * w).sum()
-        if ridge > 0:
-            loss = loss + sum((P[name] ** 2).sum() for name in WEIGHT_NAMES) * ridge
-        d_values = 2.0 * diff * w
+        ridge = kwargs.get("ridge", 0.0)
+        loss, d_values = _envelope_loss(P, values.ravel(), kwargs["returns"],
+                                        kwargs.get("penalty", 1000.0), ridge)
+        d_values = d_values.reshape(-1, 1)
         grads["val_w"] = acts["pooled"].T @ d_values
         grads["val_b"] = d_values.sum(axis=0)
         d_V1 = ((d_values @ P["val_w"].T) * g.pool_scale)[g.var_graph]
@@ -440,35 +466,21 @@ def grad(params: GcnnParameters, batch, head: str, **kwargs):
         out[name] = grads.get(name, np.zeros_like(P[name]))
         if not np.all(np.isfinite(out[name])):
             raise GcnnError(f"non-finite gradient in parameter {name}")
-    return float(loss), out
+    return loss, out
 
 
-def policy_loss(params: GcnnParameters, batch) -> float:
-    """Loss-only evaluation, in chunks of stacked graphs."""
-    batch = list(batch)
-    total = 0.0
-    for i in range(0, len(batch), _CHUNK):
-        chunk = batch[i:i + _CHUNK]
-        g = stack_observations(obs for obs, _c, _a in chunk)
-        cand_idx, cand_graph, action_idx = _labels(g, chunk)
-        z = _forward(params.arrays, g)[0].ravel()
-        lse = segment_logsumexp(z[cand_idx], cand_graph, g.num_graphs)
-        total += float((lse - z[action_idx]).sum())
-    return total / len(batch)
+def policy_loss(params: GcnnParameters, g: GraphBatch) -> float:
+    """The loss of :func:`grad`'s policy head over a batch stacked with its
+    labels, forwarded in pieces."""
+    logits = np.concatenate([_forward(params.arrays, c)[0] for c in _chunks(g)])
+    return _policy_loss(logits, g)[0]
 
 
-def value_loss(params: GcnnParameters, batch, returns, penalty: float, ridge: float) -> float:
-    """The envelope loss of :func:`grad`'s value head, over (obs, cand,
-    action) triples scored in chunks or over one :class:`GraphBatch`."""
-    if isinstance(batch, GraphBatch):
-        values = _forward(params.arrays, batch)[1].ravel()
-    else:
-        values = state_values(params, (obs for obs, _c, _a in batch))
-    returns = np.asarray(returns, dtype=np.float64)
-    total = float((_penalty_weights(values, returns, penalty) * (values - returns) ** 2).sum())
-    if ridge > 0:
-        total += ridge * sum(float((params.arrays[n] ** 2).sum()) for n in WEIGHT_NAMES)
-    return total
+def value_loss(params: GcnnParameters, g: GraphBatch, returns, penalty: float,
+               ridge: float) -> float:
+    """The loss of :func:`grad`'s value head over a stacked batch, forwarded
+    in pieces."""
+    return _envelope_loss(params.arrays, state_values(params, g), returns, penalty, ridge)[0]
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 10.0) -> float:
@@ -575,8 +587,9 @@ def train_policy(dataset, config: TrainConfig, out_dir: str | Path,
     if len(train_idx) == 0:
         train_idx, valid_idx = idx, idx[:0]
     train_set = [dataset[i] for i in train_idx]
-    valid_set = [dataset[i] for i in valid_idx]
-    prenormalize(params, (obs for obs, _c, _a in train_set))
+    train_batch = stack_states(train_set)
+    valid_batch = stack_states(dataset[i] for i in valid_idx) if len(valid_idx) else None
+    prenormalize(params, train_batch)
 
     checkpoints: list[tuple[str, Path]] = []
     curve: list[tuple[int, float, float]] = []
@@ -595,15 +608,15 @@ def train_policy(dataset, config: TrainConfig, out_dir: str | Path,
         order = rng.permutation(len(train_set))
         try:
             for start in range(0, len(order), config.batch_size):
-                batch = [train_set[i] for i in order[start:start + config.batch_size]]
+                batch = stack_states(train_set[i] for i in order[start:start + config.batch_size])
                 _loss, grads = grad(params, batch, "policy")
                 clip_gradients(grads, config.clip_norm)
                 sgd_step(params, grads, config.lr)
         except GcnnError:
             diverged = True
             break
-        train_l = policy_loss(params, train_set)
-        valid_l = policy_loss(params, valid_set) if valid_set else math.nan
+        train_l = policy_loss(params, train_batch)
+        valid_l = policy_loss(params, valid_batch) if valid_batch is not None else math.nan
         if not math.isfinite(train_l):
             diverged = True
             break

@@ -17,6 +17,7 @@ from .simplex import FEAS_TOL, INT_TOL, BoundOverride, LpStatus
 
 PC_EPSILON = 1e-6
 INFEASIBLE_GAIN = 1e6     # stand-in objective gain for an infeasible child
+DB0_GAP_FRACTION = 0.2    # hybrid expert's default DB0: root bound + this share of the gap
 
 
 class PseudocostStore:
@@ -206,18 +207,12 @@ class MostInfeasiblePolicy(BranchingPolicy):
 class PseudocostPolicy(BranchingPolicy):
     name = "pseudocost"
 
-    def __init__(self, epsilon: float = PC_EPSILON):
-        self.epsilon = epsilon
-
     def select(self, ctx) -> int:
-        return pseudocost_select(ctx.lp.x, ctx.candidates, ctx.pseudocosts, self.epsilon)
+        return pseudocost_select(ctx.lp.x, ctx.candidates, ctx.pseudocosts)
 
 
 class StrongBranchingPolicy(BranchingPolicy):
     name = "strong-branching"
-
-    def __init__(self, epsilon: float = PC_EPSILON):
-        self.epsilon = epsilon
 
     def select(self, ctx) -> int:
         best, best_score = None, -math.inf
@@ -231,7 +226,7 @@ class StrongBranchingPolicy(BranchingPolicy):
                 up.objective - ctx.lp.objective
                 if up.status is LpStatus.OPTIMAL else INFEASIBLE_GAIN
             )
-            score = score_product(gain_down, gain_up, self.epsilon)
+            score = score_product(gain_down, gain_up)
             if score > best_score:
                 best, best_score = j, score
         return best
@@ -268,13 +263,12 @@ class HybridExpertPolicy(BranchingPolicy):
     name = "hybrid-expert"
 
     def __init__(self, r0: float = 0.5, db0_mode: str = "auto", db0_value: float = 0.0,
-                 gap_fraction: float = 0.2, epsilon: float = PC_EPSILON):
+                 epsilon: float = PC_EPSILON):
         if db0_mode not in ("auto", "value"):
             raise ValueError(f"db0_mode must be 'auto' or 'value', got {db0_mode!r}")
         self.r0 = r0
         self.db0_mode = db0_mode
         self.db0_value = db0_value
-        self.gap_fraction = gap_fraction
         self.epsilon = epsilon
         self.config: HybridConfig | None = None
         self.rule_counts = {"pc": 0, "ac": 0}
@@ -288,7 +282,7 @@ class HybridExpertPolicy(BranchingPolicy):
         if estimate is None or not math.isfinite(estimate):
             db0 = root_obj
         else:
-            db0 = root_obj + self.gap_fraction * (estimate - root_obj)
+            db0 = root_obj + DB0_GAP_FRACTION * (estimate - root_obj)
         self.config = HybridConfig(db0=db0, r0=self.r0)
 
     def select(self, ctx) -> int:

@@ -101,16 +101,7 @@ class EnvelopeReport:
     loss_curve: list[float] = field(default_factory=list)
     return_mean: float = 0.0
     return_std: float = 1.0
-
-
-def envelope_values(params: GcnnParameters, entries: list[ReturnEntry]) -> np.ndarray:
-    return state_values(params, (e.obs for e in entries))
-
-
-def violation_fraction(params: GcnnParameters, entries: list[ReturnEntry]) -> float:
-    values = envelope_values(params, entries)
-    returns = np.array([e.G for e in entries])
-    return float((values < returns).mean())
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0))   # fitted V per entry
 
 
 def _rescale_value_head(params: GcnnParameters, shift: float, scale: float) -> None:
@@ -157,28 +148,29 @@ def train_envelope(
     if not std > 0.0:
         std = 1.0
     z = (returns - mean) / std
-    batch = [(e.obs, e.cand, e.action) for e in entries]
+    observations = [e.obs for e in entries]
     if start is not None:
         params = start.copy()
         _rescale_value_head(params, -mean / std, 1.0 / std)
     else:
         params = init_params(config.seed)
-        prenormalize(params, (e.obs for e in entries))
+        prenormalize(params, stack_observations(observations))
 
+    # stacked anew per use: kept, it would live through every gradient step's peak
     def full_loss(p: GcnnParameters) -> float:
-        return value_loss(p, batch, z, config.penalty, config.ridge)
+        return value_loss(p, stack_observations(observations), z, config.penalty, config.ridge)
 
     rng = np.random.default_rng([config.seed, 0x656E76])
     best, best_loss = params, full_loss(params)
     curve: list[float] = []
     stalled = 0
     while len(curve) < config.epochs and stalled < _PATIENCE:
-        order = rng.permutation(len(batch))
+        order = rng.permutation(len(entries))
         for lo in range(0, len(order), _BATCH):
             idx = order[lo:lo + _BATCH]
             # one stacked graph serves the gradient and every step-size trial
-            part = stack_observations(entries[i].obs for i in idx)
-            ridge = config.ridge * len(idx) / len(batch)
+            part = stack_observations(observations[i] for i in idx)
+            ridge = config.ridge * len(idx) / len(entries)
             try:
                 before, grads = grad(params, part, "value", returns=z[idx],
                                      penalty=config.penalty, ridge=ridge)
@@ -205,13 +197,15 @@ def train_envelope(
 
     params = best.copy()
     _rescale_value_head(params, mean, std)
+    values = state_values(params, stack_observations(observations))
     report = EnvelopeReport(
         final_loss=best_loss,
-        violation_fraction=violation_fraction(params, entries),
+        violation_fraction=float((values < returns).mean()),
         epochs=len(curve),
         loss_curve=curve,
         return_mean=mean,
         return_std=std,
+        values=values,
     )
     return params, report
 

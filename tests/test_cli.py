@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import branchlab
@@ -155,6 +156,51 @@ def test_evaluate_accepts_other_worker_count(tmp_path):
     for command in ("generate", "collect", "select", "train"):
         assert _run(command, ov) == 0, command
     assert _run("evaluate", _base_overrides(root, **small, **{"eval.workers": 2})) == 0
+
+
+def test_select_scores_with_the_fitted_envelope_once(tmp_path, monkeypatch):
+    """``select`` ranks by the values that the envelope fit reports: those of
+    the returned parameters, bit for bit, with the violation fraction taken
+    from them; the report's V column holds them."""
+    from branchlab import cli, gnn
+    from branchlab.selection import train_envelope
+
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append((args[0], *train_envelope(*args, **kwargs)))
+        return fits[-1][1:]
+
+    monkeypatch.setattr(cli, "train_envelope", recorded)
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 4, "select.epochs": 3})
+    for command in ("generate", "collect", "select"):
+        assert _run(command, ov) == 0, command
+    (returns, params, report), = fits
+    values = gnn.state_values(params, gnn.stack_observations(e.obs for e in returns.entries))
+    assert values.tobytes() == report.values.tobytes()
+    G = np.array([e.G for e in returns.entries])
+    assert report.violation_fraction == float(np.mean(values < G))
+    columns = json.loads((root / "selected" / "envelope_report.json").read_text())["columns"]
+    assert [c["V"] for c in columns] == values.tolist()
+
+
+def test_unknown_baseline_fails_before_any_solve(tmp_path, capsys):
+    """An unknown ``eval.baselines`` name is a config error raised before
+    checkpoint selection, so no report is written."""
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 3, "family.valid_count": 2,
+                                  "family.test_count": 2, "train.epochs": 2,
+                                  "train.checkpoint_every": 1,
+                                  "eval.baselines": "random,foo"})
+    for command in ("generate", "collect", "select", "train"):
+        assert _run(command, ov) == 0, command
+    capsys.readouterr()
+    assert _run("evaluate", ov) == 2
+    err = capsys.readouterr().err
+    assert "eval.baselines: unknown policy 'foo'" in err
+    assert "known policies: active-constraint, " in err
+    assert not (root / "reports" / "checkpoint_table.json").exists()
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):

@@ -90,13 +90,14 @@ def fd_gradient_check(params, batch, head, n_coords, seed, h=1e-5, **kwargs):
     """Worst relative FD/analytic error over n_coords smooth coordinates."""
     rng = np.random.default_rng(seed)
     returns = kwargs.get("returns")
+    stacked = gnn.stack_states(batch)
     if head == "policy":
-        loss_fn = lambda: gnn.policy_loss(params, batch)
+        loss_fn = lambda: gnn.policy_loss(params, stacked)
     else:
         loss_fn = lambda: gnn.value_loss(
-            params, batch, returns, kwargs["penalty"], kwargs["ridge"]
+            params, stacked, returns, kwargs["penalty"], kwargs["ridge"]
         )
-    _, grads = gnn.grad(params, batch, head, **kwargs)
+    _, grads = gnn.grad(params, stacked, head, **kwargs)
     worst = 0.0
     checked = 0
     attempts = 0
@@ -163,7 +164,7 @@ def test_cross_entropy_uniform_is_log_c():
     for c in (2, 3, 7):
         obs = random_observation(rng, n=8)
         cand = tuple(range(c))
-        loss = gnn.policy_loss(params, [(obs, cand, 0)])
+        loss = gnn.policy_loss(params, gnn.stack_states([(obs, cand, 0)]))
         assert loss == pytest.approx(math.log(c), abs=1e-12)
 
 
@@ -183,14 +184,14 @@ def test_cross_entropy_saturates():
     params.arrays["pol_w"][0, 0] = 1.0
     logits, _ = gnn.forward_numpy(params, obs)
     assert logits[1] - logits.max(initial=-np.inf, where=np.arange(4) != 1) >= 30.0 - 1e-9
-    loss = gnn.policy_loss(params, [(obs, (0, 1, 2, 3), 1)])
+    loss = gnn.policy_loss(params, gnn.stack_states([(obs, (0, 1, 2, 3), 1)]))
     assert loss <= 1e-12
 
 
 def test_batch_loss_matches_independent_recomputation():
     states = collect_states(count=2)
     params = gnn.init_params(5)
-    loss, _ = gnn.grad(params, states, "policy")
+    loss, _ = gnn.grad(params, gnn.stack_states(states), "policy")
     # independent scalar recomputation with explicit log-softmax
     total = 0.0
     for obs, cand, action in states:
@@ -221,7 +222,7 @@ def test_gradients_match_finite_differences():
 def test_value_head_gradient_zero_under_policy_loss():
     states = collect_states(count=3)
     params = gnn.init_params(1)
-    _, grads = gnn.grad(params, states, "policy")
+    _, grads = gnn.grad(params, gnn.stack_states(states), "policy")
     assert np.all(grads["val_w"] == 0.0)
     assert np.all(grads["val_b"] == 0.0)
 
@@ -230,7 +231,7 @@ def test_policy_head_gradient_zero_under_value_loss():
     states = collect_states(count=3)
     params = gnn.init_params(1)
     _, grads = gnn.grad(
-        params, states, "value",
+        params, gnn.stack_states(states), "value",
         returns=np.zeros(3), penalty=1000.0, ridge=0.0,
     )
     assert np.all(grads["pol_w"] == 0.0)
@@ -245,7 +246,8 @@ def test_gradient_vanishes_at_exact_minimum():
     g = 0.375
     params.arrays["val_b"][0] = g
     returns = np.array([g, g])
-    _, grads = gnn.grad(params, states, "value", returns=returns, penalty=1000.0, ridge=0.0)
+    _, grads = gnn.grad(params, gnn.stack_states(states), "value", returns=returns,
+                        penalty=1000.0, ridge=0.0)
     total = math.sqrt(sum(float((v**2).sum()) for v in grads.values()))
     assert total < 1e-10
 
@@ -276,22 +278,51 @@ def test_stacked_gradient_equals_per_state_gradients():
         for name in gnn.PARAM_NAMES:
             assert float(np.abs(stacked[name] - expected[name]).max()) <= 1e-12 * scale, name
 
-    _, stacked = gnn.grad(params, batch, "policy")
-    singles = [gnn.grad(params, [s], "policy")[1] for s in batch]
+    _, stacked = gnn.grad(params, gnn.stack_states(batch), "policy")
+    singles = [gnn.grad(params, gnn.stack_states([s]), "policy")[1] for s in batch]
     close(stacked, {k: sum(g[k] for g in singles) / len(batch) for k in gnn.PARAM_NAMES})
 
     kwargs = dict(penalty=1000.0, ridge=0.0)
-    _, stacked = gnn.grad(params, batch, "value", returns=returns, **kwargs)
-    singles = [gnn.grad(params, [s], "value", returns=returns[i:i + 1], **kwargs)[1]
+    _, stacked = gnn.grad(params, gnn.stack_states(batch), "value", returns=returns, **kwargs)
+    singles = [gnn.grad(params, gnn.stack_states([s]), "value", returns=returns[i:i + 1],
+                        **kwargs)[1]
                for i, s in enumerate(batch)]
     close(stacked, {k: sum(g[k] for g in singles) for k in gnn.PARAM_NAMES})
+
+
+def test_grad_loss_is_the_scorers_loss():
+    """Each head's loss is computed once: on a stacked batch of mixed sizes,
+    one graph without constraints, the loss that ``grad`` returns is the
+    loss-only scorer's, bit for bit (the envelope line search compares the
+    two)."""
+    rng = np.random.default_rng(13)
+    params = gnn.init_params(4)
+    batch = []
+    for n, m in ((6, 2), (11, 5), (4, 1), (9, 3)):
+        obs = random_observation(rng, n=n, m=m)
+        cand = tuple(sorted(rng.choice(n, size=min(3, n), replace=False).tolist()))
+        batch.append((obs, cand, int(rng.choice(cand))))
+    empty = BipartiteObservation(
+        rng.uniform(-1, 1, (5, VAR_FEATURES)), np.zeros((0, CONS_FEATURES)),
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+    )
+    batch.insert(1, (empty, (0, 2, 4), 2))
+    stacked = gnn.stack_states(batch)
+    gnn.prenormalize(params, stacked)
+    returns = rng.normal(0.0, 1.0, len(batch))
+
+    assert gnn.grad(params, stacked, "policy")[0] == gnn.policy_loss(params, stacked)
+    for penalty, ridge in ((1000.0, 1e-3), (1.0, 0.5)):
+        loss, _ = gnn.grad(params, stacked, "value", returns=returns, penalty=penalty,
+                           ridge=ridge)
+        assert loss == gnn.value_loss(params, stacked, returns, penalty, ridge)
 
 
 def test_clip_gradients_independent_of_dict_order():
     """Shuffling the gradient dict's insertion order clips to bitwise the
     same arrays, on data where the order of the norm's sum matters."""
     states = collect_states(count=3)
-    _, grads = gnn.grad(gnn.init_params(5), states, "value",
+    _, grads = gnn.grad(gnn.init_params(5), gnn.stack_states(states), "value",
                         returns=np.full(3, 50.0), penalty=1000.0, ridge=1e-3)
     rng = np.random.default_rng(0)
     orders = [list(gnn.PARAM_NAMES)] + [
@@ -425,12 +456,13 @@ def test_descent_lemma_small_step():
     """Full-batch loss is non-increasing for a sufficiently small step."""
     states = collect_states(count=4)
     params = gnn.init_params(4)
-    prev = gnn.policy_loss(params, states)
+    stacked = gnn.stack_states(states)
+    prev = gnn.policy_loss(params, stacked)
     for _ in range(25):
-        _, grads = gnn.grad(params, states, "policy")
+        _, grads = gnn.grad(params, stacked, "policy")
         gnn.clip_gradients(grads)
         gnn.sgd_step(params, grads, 1e-4)
-        cur = gnn.policy_loss(params, states)
+        cur = gnn.policy_loss(params, stacked)
         assert cur <= prev + 1e-12
         prev = cur
 
@@ -486,12 +518,12 @@ def test_width_mismatch_rejected():
 def _network_outputs(params, batch, returns):
     """Stacked logits, values, both heads' gradients (each head's parameter
     gradients as one vector) and the scales that prenormalisation fixes."""
-    observations = [obs for obs, _c, _a in batch]
+    stacked = gnn.stack_states(batch)
     fresh = gnn.init_params(9)
-    gnn.prenormalize(fresh, observations)
-    logits, values, _ = gnn._forward(params.arrays, gnn.stack_observations(observations))
+    gnn.prenormalize(fresh, stacked)
+    logits, values, _ = gnn._forward(params.arrays, stacked)
     heads = {
-        head: gnn.grad(params, batch, head, **kwargs)[1]
+        head: gnn.grad(params, stacked, head, **kwargs)[1]
         for head, kwargs in (("policy", {}),
                              ("value", dict(returns=returns, penalty=1000.0, ridge=1e-4)))
     }
@@ -533,7 +565,7 @@ def test_node_level_half_convolutions_match_edge_level_reference(monkeypatch):
                                            replace=False).tolist()))
             triples.append((obs, cand, int(rng.choice(cand))))
         params = gnn.init_params(trial)
-        gnn.prenormalize(params, (obs for obs, _c, _a in triples))
+        gnn.prenormalize(params, gnn.stack_states(triples))
         returns = rng.normal(0.0, 1.0, len(triples))
 
         node_level = _network_outputs(params, triples, returns)
@@ -583,8 +615,8 @@ def test_gcnn_memory_grows_with_nodes_not_edge_products():
     params = gnn.init_params(1)
     returns = rng.normal(0.0, 1.0, len(batch))
 
-    grad_peak = _traced_peak(lambda: gnn.grad(params, batch, "value", returns=returns,
-                                              penalty=1000.0, ridge=1e-4))
-    values_peak = _traced_peak(lambda: gnn.state_values(params, states))
+    grad_peak = _traced_peak(lambda: gnn.grad(params, gnn.stack_states(batch), "value",
+                                              returns=returns, penalty=1000.0, ridge=1e-4))
+    values_peak = _traced_peak(lambda: gnn.state_values(params, gnn.stack_observations(states)))
     assert grad_peak < 22 * 2**20
     assert values_peak < grad_peak

@@ -201,15 +201,22 @@ def probe_gcnn() -> dict[str, str]:
         cand = tuple(sorted(rng.choice(n, size=4, replace=False).tolist()))
         batch.append((obs, cand, cand[int(rng.integers(4))]))
     returns = rng.normal(0.0, 1.0, len(batch))
+    # A tree whose GCNN takes only stacked batches has ``stack_states``; an
+    # older tree takes the triples and bare observations. This fallback goes
+    # away in the next change to this probe.
+    if hasattr(gnn, "stack_states"):
+        stacked = states = gnn.stack_states(batch)
+    else:
+        stacked, states = [obs for obs, _c, _a in batch], batch
     params = gnn.init_params(3)
-    gnn.prenormalize(params, (obs for obs, _c, _a in batch))
+    gnn.prenormalize(params, stacked)
     items = {f"scale/{name}": hexes(params.arrays[name]) for name in gnn.NORM_NAMES}
     for k, (obs, _c, _a) in enumerate(batch):
         items[f"logits/{k}"] = hexes(gnn.forward_numpy(params, obs)[0])
-    items["values"] = hexes(gnn.state_values(params, (obs for obs, _c, _a in batch)))
+    items["values"] = hexes(gnn.state_values(params, stacked))
     for head, kwargs in (("policy", {}),
                          ("value", {"returns": returns, "penalty": 1000.0, "ridge": 1e-4})):
-        loss, grads = gnn.grad(params, batch, head, **kwargs)
+        loss, grads = gnn.grad(params, states, head, **kwargs)
         items[f"{head}/loss"] = hexes(loss)
         items.update({f"{head}/{name}": hexes(grads[name]) for name in gnn.PARAM_NAMES})
     return items
