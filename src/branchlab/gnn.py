@@ -45,12 +45,19 @@ reproducible bit for bit.
 
 Every function that takes many states takes one stacked :class:`GraphBatch`,
 which the owner of the states builds, with the policy's labels where needed
-(:func:`stack_states`), and builds once where it keeps the set. Scorers run
-it 256 graphs at a time (:func:`_chunks`). Each head's loss is written once
-(:func:`_policy_loss`, :func:`_envelope_loss`), so :func:`grad` and the
-scorers agree on it bit for bit. The envelope fit stacks its full set anew
-for each full-set score: kept across passes, the stacked copy lives through
-every gradient step's peak (``pipeline`` peak RSS +1.5 MB, seed 2).
+(:func:`stack_states`), and builds once where it keeps the set. Every
+network pass over it, gradients included, runs one piece of 32 graphs at a
+time (:func:`_chunks`, labels included), so it holds one piece's
+activations whatever the batch size (a value-head gradient of 256 dense
+16x3 states: 2.9 MB, against 19.2 MB in one pass). Each head's loss is
+written once (:func:`_policy_loss`, :func:`_envelope_loss`) and summed over
+the pieces in piece order by :func:`_loss`, for :func:`grad` (with the
+gradients) and the scorers alike, so they agree on it bit for bit. Against
+sums over whole batches, this moves envelope values, prenormalisation
+scales, checkpoints and loss curves by about 1e-16 relative. The envelope
+fit stacks its full set anew for each full-set score: kept across passes,
+the stacked copy lives through every gradient step's peak (``pipeline``
+peak RSS +0.9 MB, seed 2, 3 of 3 pairs).
 """
 
 from __future__ import annotations
@@ -195,19 +202,25 @@ def stack_states(states) -> GraphBatch:
                                    for a in (cand_idx, cand_graph, action_idx)))
 
 
-_CHUNK = 256    # graphs per forward when scoring many states
+_CHUNK = 32     # graphs per piece of every network pass over a stacked batch
 
 
 def _chunks(g: GraphBatch):
-    """The batch in pieces of at most ``_CHUNK`` graphs, without labels, for
-    the forwards that score many states; indices count from each piece."""
+    """(first graph, piece) for each piece of at most ``_CHUNK`` graphs, with
+    its labels; indices count from each piece."""
     for lo in range(0, g.num_graphs, _CHUNK):
         hi = min(lo + _CHUNK, g.num_graphs)
         (v0, c0, e0), (v1, c1, e1) = g.starts[lo], g.starts[hi]
-        yield GraphBatch(
+        labels = None
+        if g.labels is not None:
+            cand_idx, cand_graph, action_idx = g.labels
+            k0, k1 = np.searchsorted(cand_graph, (lo, hi))    # stacked in graph order
+            labels = (cand_idx[k0:k1] - v0, cand_graph[k0:k1] - lo, action_idx[lo:hi] - v0)
+        yield lo, GraphBatch(
             g.var_features[v0:v1], g.cons_features[c0:c1],
             g.edge_row[e0:e1] - c0, g.edge_col[e0:e1] - v0, g.edge_val[e0:e1],
             g.var_graph[v0:v1] - lo, g.pool_scale[lo:hi], g.starts[lo:hi + 1] - g.starts[lo],
+            labels,
         )
 
 
@@ -344,7 +357,7 @@ def forward_numpy(params: GcnnParameters, obs: BipartiteObservation) -> tuple[np
 
 def state_values(params: GcnnParameters, g: GraphBatch) -> np.ndarray:
     """Value-head outputs of a stacked batch, forwarded in pieces."""
-    return np.concatenate([_forward(params.arrays, c)[1] for c in _chunks(g)]).ravel()
+    return np.concatenate([_forward(params.arrays, c)[1] for _lo, c in _chunks(g)]).ravel()
 
 
 def prenormalize(params: GcnnParameters, g: GraphBatch) -> None:
@@ -362,7 +375,7 @@ def prenormalize(params: GcnnParameters, g: GraphBatch) -> None:
     for name in NORM_NAMES:
         msg = name.split("_")[0]
         squares, count = 0.0, 0
-        for c in _chunks(g):
+        for _lo, c in _chunks(g):
             raw = _forward(params.arrays, c)[2][msg].raw
             squares += float((raw ** 2).sum())
             count += raw.size
@@ -392,38 +405,77 @@ def predict_branch(params: GcnnParameters, obs: BipartiteObservation,
 # Losses: the masked-softmax cross-entropy and the penalized envelope loss
 # ---------------------------------------------------------------------------
 
-def _policy_loss(logits: np.ndarray, g: GraphBatch) -> tuple[float, np.ndarray]:
-    """Mean negative log-probability of the expert actions under the softmax
-    over each graph's candidates, and its gradient in the logits."""
-    if g.labels is None:
-        raise ValueError("the policy loss needs states stacked with their labels")
+def _policy_loss(logits: np.ndarray, g: GraphBatch, scale: float) -> tuple[float, np.ndarray]:
+    """Summed negative log-probability of the expert actions under the
+    softmax over each graph's candidates, and the gradient of ``scale`` times
+    that sum in the logits."""
     cand_idx, cand_graph, action_idx = g.labels
     z = logits[cand_idx].reshape(-1)
     lse = segment_logsumexp(z, cand_graph, g.num_graphs)
     nll = lse.reshape(-1, 1) - logits[action_idx]
-    d_nll = np.full_like(nll, 1.0 / g.num_graphs)
+    d_nll = np.full_like(nll, scale)
     softmax = np.exp(z - lse[cand_graph]).reshape(-1, 1)
     d_logits = (segment_sum(softmax * d_nll[cand_graph], cand_idx, logits.shape[0])
                 + segment_sum(-d_nll, action_idx, logits.shape[0]))
-    # summed _CHUNK graphs at a time, in the order the loss curves always used
-    total = sum(float(nll[i:i + _CHUNK].sum()) for i in range(0, g.num_graphs, _CHUNK))
-    return total / g.num_graphs, d_logits
+    return float(nll.sum()), d_logits
 
 
-def _envelope_loss(P, values: np.ndarray, returns, penalty: float,
-                   ridge: float) -> tuple[float, np.ndarray]:
-    """Penalized envelope loss of the values (B,) and its gradient in them:
-    squared errors, undershoots weighted ``penalty`` times more (the
+def _envelope_loss(values: np.ndarray, returns: np.ndarray,
+                   penalty: float) -> tuple[float, np.ndarray]:
+    """Penalized squared errors of the values (B,), summed, and their
+    gradient in the values: undershoots weigh ``penalty`` times more (the
     indicator is read at the current value; exactly at the kink the
-    non-penalized branch is used), plus ``ridge`` times the squared weights
-    (biases excluded)."""
-    returns = np.asarray(returns, dtype=np.float64)
+    non-penalized branch is used)."""
     diff = values - returns
     w = np.where(values >= returns, 1.0, penalty)
-    loss = float((diff**2 * w).sum())
+    return float((diff**2 * w).sum()), 2.0 * diff * w
+
+
+def _loss(P, g: GraphBatch, head: str, returns=None, penalty: float = 1000.0,
+          ridge: float = 0.0, grads: dict | None = None) -> float:
+    """One head's loss over a stacked batch, run forward (and, given a
+    ``grads`` dict, backward into it) one piece of :func:`_chunks` at a time,
+    so that memory depends on the piece size, not on the batch size. The
+    pieces' losses and gradients are summed in piece order; then the policy
+    loss is divided by the number of graphs, or the envelope loss gets its
+    ridge term, ``ridge`` times the squared weights (biases excluded)."""
+    if head == "policy" and g.labels is None:
+        raise ValueError("the policy loss needs states stacked with their labels")
+    total = 0.0
+    for lo, piece in _chunks(g):
+        logits, values, acts = _forward(P, piece)
+        if head == "policy":
+            loss, d_logits = _policy_loss(logits, piece, 1.0 / g.num_graphs)
+        else:
+            loss, d_values = _envelope_loss(values.ravel(), returns[lo:lo + piece.num_graphs],
+                                            penalty)
+        total += loss
+        if grads is None:
+            continue
+        if not math.isfinite(total):
+            raise GcnnError("non-finite loss; lower the learning rate")
+        part = {}
+        if head == "policy":
+            part["pol_w"] = acts["V1"].T @ d_logits
+            part["pol_b"] = d_logits.sum(axis=0)
+            d_V1 = d_logits @ P["pol_w"].T
+        else:
+            d_values = d_values.reshape(-1, 1)
+            part["val_w"] = acts["pooled"].T @ d_values
+            part["val_b"] = d_values.sum(axis=0)
+            d_V1 = ((d_values @ P["val_w"].T) * piece.pool_scale)[piece.var_graph]
+        _backward(P, piece, acts, d_V1, part)
+        for name, term in part.items():
+            grads[name] = grads[name] + term if name in grads else term
+    if head == "policy":
+        return total / g.num_graphs
     if ridge > 0:
-        loss += sum(float((P[name] ** 2).sum()) for name in WEIGHT_NAMES) * ridge
-    return loss, 2.0 * diff * w
+        total += sum(float((P[name] ** 2).sum()) for name in WEIGHT_NAMES) * ridge
+    if ridge > 0 and grads is not None:
+        for name in WEIGHT_NAMES:
+            term = 2.0 * P[name] * ridge
+            grads[name] = grads[name] + term if name in grads else term
+    return total
 
 
 def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
@@ -439,28 +491,9 @@ def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
         raise ValueError(f"unknown loss head {head!r}")
     P = params.arrays
     grads: dict[str, np.ndarray] = {}
-    ridge = 0.0
-    logits, values, acts = _forward(P, g)
-    if head == "policy":
-        loss, d_logits = _policy_loss(logits, g)
-        grads["pol_w"] = acts["V1"].T @ d_logits
-        grads["pol_b"] = d_logits.sum(axis=0)
-        d_V1 = d_logits @ P["pol_w"].T
-    else:
-        ridge = kwargs.get("ridge", 0.0)
-        loss, d_values = _envelope_loss(P, values.ravel(), kwargs["returns"],
-                                        kwargs.get("penalty", 1000.0), ridge)
-        d_values = d_values.reshape(-1, 1)
-        grads["val_w"] = acts["pooled"].T @ d_values
-        grads["val_b"] = d_values.sum(axis=0)
-        d_V1 = ((d_values @ P["val_w"].T) * g.pool_scale)[g.var_graph]
+    loss = _loss(P, g, head, grads=grads, **kwargs)
     if not np.isfinite(loss):
         raise GcnnError("non-finite loss; lower the learning rate")
-    _backward(P, g, acts, d_V1, grads)
-    if ridge > 0:
-        for name in WEIGHT_NAMES:
-            term = 2.0 * P[name] * ridge
-            grads[name] = grads[name] + term if name in grads else term
     out = {}
     for name in PARAM_NAMES:
         out[name] = grads.get(name, np.zeros_like(P[name]))
@@ -471,16 +504,14 @@ def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
 
 def policy_loss(params: GcnnParameters, g: GraphBatch) -> float:
     """The loss of :func:`grad`'s policy head over a batch stacked with its
-    labels, forwarded in pieces."""
-    logits = np.concatenate([_forward(params.arrays, c)[0] for c in _chunks(g)])
-    return _policy_loss(logits, g)[0]
+    labels."""
+    return _loss(params.arrays, g, "policy")
 
 
 def value_loss(params: GcnnParameters, g: GraphBatch, returns, penalty: float,
                ridge: float) -> float:
-    """The loss of :func:`grad`'s value head over a stacked batch, forwarded
-    in pieces."""
-    return _envelope_loss(params.arrays, state_values(params, g), returns, penalty, ridge)[0]
+    """The loss of :func:`grad`'s value head over a stacked batch."""
+    return _loss(params.arrays, g, "value", returns, penalty, ridge)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 10.0) -> float:
@@ -553,8 +584,13 @@ class TrainConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
+        for name in ("lr", "valid_fraction", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lr <= 0 or self.batch_size <= 0 or self.epochs <= 0 or self.checkpoint_every <= 0:
             raise ValueError("training config values must be positive")
+        if not 0 <= self.valid_fraction < 1:
+            raise ValueError(f"valid_fraction must lie in [0, 1), got {self.valid_fraction!r}")
 
 
 @dataclass

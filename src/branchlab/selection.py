@@ -60,6 +60,9 @@ class EnvelopeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("ridge", "penalty", "lr", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.ridge < 0:
             raise ValueError("ridge must be nonnegative")
         if self.penalty < 1:

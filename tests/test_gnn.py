@@ -252,23 +252,40 @@ def test_gradient_vanishes_at_exact_minimum():
     assert total < 1e-10
 
 
-def test_stacked_gradient_equals_per_state_gradients():
-    """One stacked batch of states of different sizes, one of them without
-    constraint rows, gives the mean of the per-state policy gradients and the
-    sum of the per-state value gradients (ridge 0). This checks the index
-    offsets of the backward's gathers and segment sums."""
-    rng = np.random.default_rng(21)
-    params = gnn.init_params(2)
-    batch = []
-    for n, m in ((3, 1), (7, 4), (5, 2), (9, 5)):
-        obs = random_observation(rng, n=n, m=m)
-        cand = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
-        batch.append((obs, cand, int(rng.choice(cand))))
-    empty = BipartiteObservation(
-        rng.uniform(-1, 1, (4, VAR_FEATURES)), np.zeros((0, CONS_FEATURES)),
+def _empty_state(rng, n):
+    """A state of ``n`` variables without constraint rows."""
+    return BipartiteObservation(
+        rng.uniform(-1, 1, (n, VAR_FEATURES)), np.zeros((0, CONS_FEATURES)),
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
     )
-    batch.insert(2, (empty, (0, 1, 3), 3))
+
+
+def _mixed_batch(rng, count=75, empty_at=(2, 32)):
+    """``count`` labelled states of mixed sizes, one candidate set per state,
+    with constraint-free states at the indices ``empty_at``. The default is
+    three network pieces of 32 graphs, the last one short, and a
+    constraint-free graph first in the second piece."""
+    batch = []
+    for k in range(count):
+        n = int(rng.integers(2, 12))
+        obs = (_empty_state(rng, n) if k in empty_at
+               else random_observation(rng, n=n, m=int(rng.integers(1, 6))))
+        cand = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+        batch.append((obs, cand, int(rng.choice(cand))))
+    return batch
+
+
+def test_stacked_gradient_equals_per_state_gradients():
+    """One stacked batch of states of different sizes, some without
+    constraint rows, gives the mean of the per-state policy gradients and the
+    sum of the per-state value gradients (ridge 0). The batch spans three
+    pieces, and one constraint-free graph opens a piece. This checks the
+    index offsets of the backward's gathers and segment sums, and of each
+    piece's graphs, labels and returns."""
+    rng = np.random.default_rng(21)
+    params = gnn.init_params(2)
+    batch = _mixed_batch(rng)
+    assert batch[32][0].num_cons == 0 and len(batch) > 2 * gnn._CHUNK
     returns = rng.uniform(-2.0, 2.0, len(batch))
 
     def close(stacked, expected):
@@ -291,22 +308,13 @@ def test_stacked_gradient_equals_per_state_gradients():
 
 
 def test_grad_loss_is_the_scorers_loss():
-    """Each head's loss is computed once: on a stacked batch of mixed sizes,
-    one graph without constraints, the loss that ``grad`` returns is the
-    loss-only scorer's, bit for bit (the envelope line search compares the
-    two)."""
+    """Each head's loss is computed once: on a stacked batch of mixed sizes
+    over three pieces, a constraint-free graph closing the first, the loss
+    that ``grad`` returns is the loss-only scorer's, bit for bit (the
+    envelope line search compares the two)."""
     rng = np.random.default_rng(13)
     params = gnn.init_params(4)
-    batch = []
-    for n, m in ((6, 2), (11, 5), (4, 1), (9, 3)):
-        obs = random_observation(rng, n=n, m=m)
-        cand = tuple(sorted(rng.choice(n, size=min(3, n), replace=False).tolist()))
-        batch.append((obs, cand, int(rng.choice(cand))))
-    empty = BipartiteObservation(
-        rng.uniform(-1, 1, (5, VAR_FEATURES)), np.zeros((0, CONS_FEATURES)),
-        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
-    )
-    batch.insert(1, (empty, (0, 2, 4), 2))
+    batch = _mixed_batch(rng, empty_at=(1, 31))
     stacked = gnn.stack_states(batch)
     gnn.prenormalize(params, stacked)
     returns = rng.normal(0.0, 1.0, len(batch))
@@ -406,6 +414,18 @@ def test_single_sample_memorization(tmp_path):
     assert result.curve[-1][1] < 1e-2
     obs, cand, action = states[0]
     assert gnn.predict_branch(result.params, obs, cand) == action
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.inf), ("lr", math.nan), ("clip_norm", math.nan),
+    ("valid_fraction", math.nan), ("valid_fraction", -0.5), ("valid_fraction", 1.0),
+])
+def test_train_config_rejects_non_finite_and_out_of_range_values(field, value):
+    """Each bad value fails at construction, naming its field. A validation
+    fraction of -0.5 would otherwise slice the split from the end: on 81
+    states ``int(-40.5)`` validates on 41 and trains on 40."""
+    with pytest.raises(ValueError, match=field):
+        gnn.TrainConfig(**{field: value})
 
 
 def test_training_deterministic(tmp_path):
@@ -604,19 +624,28 @@ def _traced_peak(fn) -> int:
 
 def test_gcnn_memory_grows_with_nodes_not_edge_products():
     """Memory guard on 16x3 knapsack-sized states with every edge present
-    (48 edges per state). The value-head gradient of 256 states peaked at
-    29.6 MB when every message layer ran on the edges, and at 20.0 MB
-    (numpy 2.4) with the node-level form; a value-only forward over 1024
-    states must stay below that gradient's peak, so that it is never the
-    envelope fit's peak."""
+    (48 edges per state), the inputs stacked outside the measured calls. The
+    value-head gradient of 256 states peaked at 29.6 MB when every message
+    layer ran on the edges, at 20.0 MB with the node-level form in one pass,
+    and at 2.9 MB (numpy 2.4) in 32-graph pieces; it must stay below 6 MB.
+    Over 1024 states it must peak within 1 MB of that, so that the piece
+    size, not the batch size, sets it; and a value-only forward over 1024
+    states must stay below it, so that scoring is never the envelope fit's
+    peak."""
     rng = np.random.default_rng(5)
     states = [_dense_state(rng) for _ in range(1024)]
-    batch = [(obs, (0, 1, 2), 1) for obs in states[:256]]
     params = gnn.init_params(1)
-    returns = rng.normal(0.0, 1.0, len(batch))
+    returns = rng.normal(0.0, 1.0, len(states))
+    few = gnn.stack_states([(obs, (0, 1, 2), 1) for obs in states[:256]])
+    many = gnn.stack_states([(obs, (0, 1, 2), 1) for obs in states])
+    observations = gnn.stack_observations(states)
 
-    grad_peak = _traced_peak(lambda: gnn.grad(params, gnn.stack_states(batch), "value",
-                                              returns=returns, penalty=1000.0, ridge=1e-4))
-    values_peak = _traced_peak(lambda: gnn.state_values(params, gnn.stack_observations(states)))
-    assert grad_peak < 22 * 2**20
-    assert values_peak < grad_peak
+    def grad_peak(batch):
+        return _traced_peak(lambda: gnn.grad(params, batch, "value",
+                                             returns=returns[:batch.num_graphs],
+                                             penalty=1000.0, ridge=1e-4))
+
+    few_peak = grad_peak(few)
+    assert few_peak < 6 * 2**20
+    assert grad_peak(many) < few_peak + 2**20
+    assert _traced_peak(lambda: gnn.state_values(params, observations)) < few_peak

@@ -213,6 +213,17 @@ def test_empty_set_rejected():
         train_envelope(ReturnSet([], 1.0), EnvelopeConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.inf), ("lr", math.nan), ("ridge", math.nan), ("penalty", math.nan),
+    ("penalty", math.inf), ("p", math.nan),
+])
+def test_envelope_config_rejects_non_finite_values(field, value):
+    """A non-finite step size never drops below the line search's floor nor
+    lowers the loss, so the fit would never end; it fails at construction."""
+    with pytest.raises(ValueError, match=field):
+        EnvelopeConfig(**{field: value})
+
+
 def test_shift_to_positive():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -27,8 +27,9 @@ results are never compared against stored digests. Probes:
   stage's wall time.
 
 An LP item is the hex of every ``LpSolution`` field. Prints one JSON line
-with, per probe, the equal and differing item counts and the first differing
-item, and exits 1 when any item differs (or exists in one tree only).
+with, per probe, the equal and differing item counts, the first differing
+item and the first 20 differing items in sorted order, and exits 1 when any
+item differs (or exists in one tree only).
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ RUN_ROOT_CONFIG = {
     "select.epochs": "25", "train.epochs": "20", "train.checkpoint_every": "5",
     "eval.max_nodes": "2000", "eval.max_clock": "3000",
 }
+LISTED = 20     # differing items named per probe
 STAGES = ("generate", "collect", "select", "train", "evaluate", "compare", "report")
 
 
@@ -285,7 +287,8 @@ def compare(base: dict, head: dict) -> dict:
         keys = a.keys() | b.keys()
         differ = sorted(k for k in keys if a.get(k) != b.get(k))
         summary[probe] = {"equal": len(keys) - len(differ), "differ": len(differ),
-                          "first": differ[0] if differ else None}
+                          "first": differ[0] if differ else None,
+                          "items": differ[:LISTED]}
     return summary
 
 
