@@ -43,21 +43,23 @@ first pass's message gather) + second pass's message gather; a weight's
 ridge term is added after its network term. Results are therefore
 reproducible bit for bit.
 
-Every function that takes many states takes one stacked :class:`GraphBatch`,
-which the owner of the states builds, with the policy's labels where needed
-(:func:`stack_states`), and builds once where it keeps the set. Every
-network pass over it, gradients included, runs one piece of 32 graphs at a
-time (:func:`_chunks`, labels included), so it holds one piece's
-activations whatever the batch size (a value-head gradient of 256 dense
-16x3 states: 2.9 MB, against 19.2 MB in one pass). Each head's loss is
-written once (:func:`_policy_loss`, :func:`_envelope_loss`) and summed over
-the pieces in piece order by :func:`_loss`, for :func:`grad` (with the
-gradients) and the scorers alike, so they agree on it bit for bit. Against
-sums over whole batches, this moves envelope values, prenormalisation
-scales, checkpoints and loss curves by about 1e-16 relative. The envelope
-fit stacks its full set anew for each full-set score: kept across passes,
-the stacked copy lives through every gradient step's peak (``pipeline``
-peak RSS +0.9 MB, seed 2, 3 of 3 pairs).
+The piece of at most 32 graphs (a :class:`GraphBatch`) is the only stacked
+form: a function that takes many states takes them as :class:`Pieces`, and
+each pass, gradients included, stacks and runs one piece at a time, so it
+holds one piece's inputs and activations whatever the number of states (a
+value-head gradient of 256 dense 16x3 states: 2.9 MB, against 19.2 MB in one
+pass). Each head's loss is written once (:func:`_policy_loss`,
+:func:`_envelope_loss`) and summed over the pieces in piece order by
+:func:`_loss`, for :func:`grad` and the scorers alike, so they agree on it
+bit for bit. No caller keeps stacked pieces between passes; the stackers
+shift indices with one array operation per field, so a 32-graph piece of
+dense 16x3 states stacks in about 80 us bare and 145 us labelled, against a
+forward of about 1.7 ms. Measured at the criterion-8 size (seed 11, 6,961
+states, peak RSS of each stage process, medians of eight runs): a stack of
+every state put ``select`` at 91.8 MB, against 71.3 MB, and stacks of
+``train``'s two splits put it at 60.6 MB, against 55.8 MB. Keeping those
+splits' pieces stacked instead would save ``train`` about 3% of its time
+and cost 2.9 MB.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ def init_params(seed: int = 0, zero: bool = False) -> GcnnParameters:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Disjoint union of states: edge, candidate and action indices are
-    offset into the stacked variable and constraint arrays."""
+    """One piece of a pass, a disjoint union of states: edge, candidate and
+    action indices count from the piece's first variable and constraint."""
 
     var_features: np.ndarray    # (N, VAR_FEATURES)
     cons_features: np.ndarray   # (M, CONS_FEATURES)
@@ -149,7 +151,6 @@ class GraphBatch:
     edge_val: np.ndarray        # (E, 1)
     var_graph: np.ndarray       # (N,) graph of each variable
     pool_scale: np.ndarray      # (B, 1) 1 / number of variables
-    starts: np.ndarray          # (B + 1, 3) first variable, constraint and edge of each graph
     # stacked candidates, the graph of each, and each graph's stacked expert action
     labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -159,28 +160,24 @@ class GraphBatch:
 
 
 def stack_observations(observations) -> GraphBatch:
+    """Stack observations into one piece; each graph's edge indices are
+    shifted by its first constraint and variable, one array op per field."""
     observations = list(observations)
-    if not observations:
-        raise ValueError("empty observation batch")
-    sizes = np.array([(o.num_vars, o.num_cons, len(o.edge_val)) for o in observations],
-                     dtype=np.int64)
-    starts = np.zeros((len(observations) + 1, 3), dtype=np.int64)
-    np.cumsum(sizes, axis=0, out=starts[1:])
-    row = np.concatenate([np.asarray(o.edge_row, dtype=np.int64) + off
-                          for o, off in zip(observations, starts[:-1, 1])])
-    col = np.concatenate([np.asarray(o.edge_col, dtype=np.int64) + off
-                          for o, off in zip(observations, starts[:-1, 0])])
+    sizes = np.array([(o.num_vars, o.num_cons) for o in observations], dtype=np.int64)
+    offsets = np.repeat(np.cumsum(sizes, axis=0) - sizes,
+                        [o.num_edges for o in observations], axis=0)
     return GraphBatch(
         var_features=_stack_rows([o.var_features for o in observations],
                                  VAR_FEATURES, "variable"),
         cons_features=_stack_rows([o.cons_features for o in observations if o.num_cons],
                                   CONS_FEATURES, "constraint"),
-        edge_row=row,
-        edge_col=col,
+        edge_row=np.concatenate([o.edge_row for o in observations], dtype=np.int64)
+        + offsets[:, 1],
+        edge_col=np.concatenate([o.edge_col for o in observations], dtype=np.int64)
+        + offsets[:, 0],
         edge_val=np.concatenate([o.edge_val for o in observations]).reshape(-1, 1),
         var_graph=np.repeat(np.arange(len(observations), dtype=np.int64), sizes[:, 0]),
         pool_scale=1.0 / np.maximum(sizes[:, :1], 1),
-        starts=starts,
     )
 
 
@@ -189,39 +186,42 @@ def stack_states(states) -> GraphBatch:
     loss reads (:attr:`GraphBatch.labels`)."""
     states = list(states)
     g = stack_observations(obs for obs, _c, _a in states)
-    cand_idx, cand_graph, action_idx = [], [], []
-    for k, (_obs, cand, action) in enumerate(states):
-        cand = [int(c) for c in cand]
-        if int(action) not in cand:
-            raise ValueError(f"action {action} is not a candidate {tuple(cand)}")
-        off = int(g.starts[k, 0])
-        cand_idx.extend(c + off for c in cand)
-        cand_graph.extend([k] * len(cand))
-        action_idx.append(int(action) + off)
-    return replace(g, labels=tuple(np.asarray(a, dtype=np.int64)
-                                   for a in (cand_idx, cand_graph, action_idx)))
+    cands = [np.asarray(c, dtype=np.int64).reshape(-1) for _o, c, _a in states]
+    counts = [len(c) for c in cands]
+    cand = np.concatenate(cands)
+    cand_graph = np.repeat(np.arange(len(states), dtype=np.int64), counts)
+    action = np.array([int(a) for _o, _c, a in states], dtype=np.int64)
+    chosen = np.zeros(len(states), dtype=bool)
+    chosen[cand_graph[cand == action[cand_graph]]] = True
+    if not chosen.all():
+        k = int(np.argmin(chosen))
+        raise ValueError(f"action {states[k][2]} is not a candidate "
+                         f"{tuple(int(c) for c in cands[k])}")
+    num_vars = np.array([obs.num_vars for obs, _c, _a in states], dtype=np.int64)
+    var_off = np.cumsum(num_vars) - num_vars
+    return replace(g, labels=(cand + np.repeat(var_off, counts), cand_graph, action + var_off))
 
 
-_CHUNK = 32     # graphs per piece of every network pass over a stacked batch
+_CHUNK = 32     # graphs per piece of every network pass
 
 
-def _chunks(g: GraphBatch):
-    """(first graph, piece) for each piece of at most ``_CHUNK`` graphs, with
-    its labels; indices count from each piece."""
-    for lo in range(0, g.num_graphs, _CHUNK):
-        hi = min(lo + _CHUNK, g.num_graphs)
-        (v0, c0, e0), (v1, c1, e1) = g.starts[lo], g.starts[hi]
-        labels = None
-        if g.labels is not None:
-            cand_idx, cand_graph, action_idx = g.labels
-            k0, k1 = np.searchsorted(cand_graph, (lo, hi))    # stacked in graph order
-            labels = (cand_idx[k0:k1] - v0, cand_graph[k0:k1] - lo, action_idx[lo:hi] - v0)
-        yield lo, GraphBatch(
-            g.var_features[v0:v1], g.cons_features[c0:c1],
-            g.edge_row[e0:e1] - c0, g.edge_col[e0:e1] - v0, g.edge_val[e0:e1],
-            g.var_graph[v0:v1] - lo, g.pool_scale[lo:hi], g.starts[lo:hi + 1] - g.starts[lo],
-            labels,
-        )
+class Pieces:
+    """Many states as every network pass reads them: pieces of at most
+    ``_CHUNK`` graphs in state order, each stacked on its own (observations
+    bare, (obs, cand, action) triples with labels). A pass stacks each piece
+    when it reaches it."""
+
+    def __init__(self, states):
+        states = list(states)
+        if not states:
+            raise ValueError("empty observation batch")
+        self.num_graphs = len(states)
+        self.labelled = not isinstance(states[0], BipartiteObservation)
+        self._stack = stack_states if self.labelled else stack_observations
+        self._parts = [states[lo:lo + _CHUNK] for lo in range(0, len(states), _CHUNK)]
+
+    def __iter__(self):
+        return map(self._stack, self._parts)
 
 
 def _stack_rows(arrays: list[np.ndarray], width: int, what: str) -> np.ndarray:
@@ -355,14 +355,13 @@ def forward_numpy(params: GcnnParameters, obs: BipartiteObservation) -> tuple[np
     return logits.ravel(), float(values[0, 0])
 
 
-def state_values(params: GcnnParameters, g: GraphBatch) -> np.ndarray:
-    """Value-head outputs of a stacked batch, forwarded in pieces."""
-    return np.concatenate([_forward(params.arrays, c)[1] for _lo, c in _chunks(g)]).ravel()
+def state_values(params: GcnnParameters, batch: Pieces) -> np.ndarray:
+    """Value-head outputs of many states, forwarded piece by piece."""
+    return np.concatenate([_forward(params.arrays, piece)[1] for piece in batch]).ravel()
 
 
-def prenormalize(params: GcnnParameters, g: GraphBatch) -> None:
-    """Fix the prenormalisation scales from a stacked batch of states, in
-    place.
+def prenormalize(params: GcnnParameters, batch: Pieces) -> None:
+    """Fix the prenormalisation scales from many states, in place.
 
     Gasse et al. (2019) prenormalise the summed messages once from training
     data before gradient training. Messages are not shifted here, so each
@@ -375,8 +374,8 @@ def prenormalize(params: GcnnParameters, g: GraphBatch) -> None:
     for name in NORM_NAMES:
         msg = name.split("_")[0]
         squares, count = 0.0, 0
-        for _lo, c in _chunks(g):
-            raw = _forward(params.arrays, c)[2][msg].raw
+        for piece in batch:
+            raw = _forward(params.arrays, piece)[2][msg].raw
             squares += float((raw ** 2).sum())
             count += raw.size
         rms = math.sqrt(squares / count) if count else 0.0
@@ -431,25 +430,26 @@ def _envelope_loss(values: np.ndarray, returns: np.ndarray,
     return float((diff**2 * w).sum()), 2.0 * diff * w
 
 
-def _loss(P, g: GraphBatch, head: str, returns=None, penalty: float = 1000.0,
+def _loss(P, batch: Pieces, head: str, returns=None, penalty: float = 1000.0,
           ridge: float = 0.0, grads: dict | None = None) -> float:
-    """One head's loss over a stacked batch, run forward (and, given a
-    ``grads`` dict, backward into it) one piece of :func:`_chunks` at a time,
-    so that memory depends on the piece size, not on the batch size. The
-    pieces' losses and gradients are summed in piece order; then the policy
-    loss is divided by the number of graphs, or the envelope loss gets its
-    ridge term, ``ridge`` times the squared weights (biases excluded)."""
-    if head == "policy" and g.labels is None:
-        raise ValueError("the policy loss needs states stacked with their labels")
-    total = 0.0
-    for lo, piece in _chunks(g):
+    """One head's loss over many states, run forward (and, given a ``grads``
+    dict, backward into it) one piece at a time, so that memory depends on
+    the piece size, not on the number of states. The pieces' losses and
+    gradients are summed in piece order; then the policy loss is divided by
+    the number of graphs, or the envelope loss gets its ridge term, ``ridge``
+    times the squared weights (biases excluded)."""
+    if head == "policy" and not batch.labelled:
+        raise ValueError("the policy loss needs (obs, cand, action) triples")
+    total, lo = 0.0, 0
+    for piece in batch:
         logits, values, acts = _forward(P, piece)
         if head == "policy":
-            loss, d_logits = _policy_loss(logits, piece, 1.0 / g.num_graphs)
+            loss, d_logits = _policy_loss(logits, piece, 1.0 / batch.num_graphs)
         else:
             loss, d_values = _envelope_loss(values.ravel(), returns[lo:lo + piece.num_graphs],
                                             penalty)
         total += loss
+        lo += piece.num_graphs
         if grads is None:
             continue
         if not math.isfinite(total):
@@ -468,7 +468,7 @@ def _loss(P, g: GraphBatch, head: str, returns=None, penalty: float = 1000.0,
         for name, term in part.items():
             grads[name] = grads[name] + term if name in grads else term
     if head == "policy":
-        return total / g.num_graphs
+        return total / batch.num_graphs
     if ridge > 0:
         total += sum(float((P[name] ** 2).sum()) for name in WEIGHT_NAMES) * ridge
     if ridge > 0 and grads is not None:
@@ -478,11 +478,11 @@ def _loss(P, g: GraphBatch, head: str, returns=None, penalty: float = 1000.0,
     return total
 
 
-def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
-    """Exact gradients of one loss head over a stacked batch, by the
+def grad(params: GcnnParameters, batch: Pieces, head: str, **kwargs):
+    """Exact gradients of one loss head over many states, by the
     hand-written backward.
 
-    head: "policy" for :func:`policy_loss` (on a batch stacked with labels);
+    head: "policy" for :func:`policy_loss` (on labelled states);
     or "value" for :func:`value_loss` (pass ``returns``, ``penalty``,
     ``ridge``). Returns (the same loss as those scorers', gradient dict in
     ``PARAM_NAMES`` order, shaped like the parameters).
@@ -491,7 +491,7 @@ def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
         raise ValueError(f"unknown loss head {head!r}")
     P = params.arrays
     grads: dict[str, np.ndarray] = {}
-    loss = _loss(P, g, head, grads=grads, **kwargs)
+    loss = _loss(P, batch, head, grads=grads, **kwargs)
     if not np.isfinite(loss):
         raise GcnnError("non-finite loss; lower the learning rate")
     out = {}
@@ -502,16 +502,15 @@ def grad(params: GcnnParameters, g: GraphBatch, head: str, **kwargs):
     return loss, out
 
 
-def policy_loss(params: GcnnParameters, g: GraphBatch) -> float:
-    """The loss of :func:`grad`'s policy head over a batch stacked with its
-    labels."""
-    return _loss(params.arrays, g, "policy")
+def policy_loss(params: GcnnParameters, batch: Pieces) -> float:
+    """The loss of :func:`grad`'s policy head over labelled states."""
+    return _loss(params.arrays, batch, "policy")
 
 
-def value_loss(params: GcnnParameters, g: GraphBatch, returns, penalty: float,
+def value_loss(params: GcnnParameters, batch: Pieces, returns, penalty: float,
                ridge: float) -> float:
-    """The loss of :func:`grad`'s value head over a stacked batch."""
-    return _loss(params.arrays, g, "value", returns, penalty, ridge)
+    """The loss of :func:`grad`'s value head over many states."""
+    return _loss(params.arrays, batch, "value", returns, penalty, ridge)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 10.0) -> float:
@@ -623,8 +622,8 @@ def train_policy(dataset, config: TrainConfig, out_dir: str | Path,
     if len(train_idx) == 0:
         train_idx, valid_idx = idx, idx[:0]
     train_set = [dataset[i] for i in train_idx]
-    train_batch = stack_states(train_set)
-    valid_batch = stack_states(dataset[i] for i in valid_idx) if len(valid_idx) else None
+    train_batch = Pieces(train_set)
+    valid_batch = Pieces(dataset[i] for i in valid_idx) if len(valid_idx) else None
     prenormalize(params, train_batch)
 
     checkpoints: list[tuple[str, Path]] = []
@@ -644,7 +643,7 @@ def train_policy(dataset, config: TrainConfig, out_dir: str | Path,
         order = rng.permutation(len(train_set))
         try:
             for start in range(0, len(order), config.batch_size):
-                batch = stack_states(train_set[i] for i in order[start:start + config.batch_size])
+                batch = Pieces(train_set[i] for i in order[start:start + config.batch_size])
                 _loss, grads = grad(params, batch, "policy")
                 clip_gradients(grads, config.clip_norm)
                 sgd_step(params, grads, config.lr)

@@ -17,12 +17,12 @@ import numpy as np
 from .gnn import (
     GcnnError,
     GcnnParameters,
+    Pieces,
     clip_gradients,
     grad,
     init_params,
     prenormalize,
     sgd_step,
-    stack_observations,
     state_values,
     value_loss,
 )
@@ -152,27 +152,23 @@ def train_envelope(
         std = 1.0
     z = (returns - mean) / std
     observations = [e.obs for e in entries]
+    full = Pieces(observations)     # re-stacked on each use: a kept stack is O(dataset)
     if start is not None:
         params = start.copy()
         _rescale_value_head(params, -mean / std, 1.0 / std)
     else:
         params = init_params(config.seed)
-        prenormalize(params, stack_observations(observations))
-
-    # stacked anew per use: kept, it would live through every gradient step's peak
-    def full_loss(p: GcnnParameters) -> float:
-        return value_loss(p, stack_observations(observations), z, config.penalty, config.ridge)
+        prenormalize(params, full)
 
     rng = np.random.default_rng([config.seed, 0x656E76])
-    best, best_loss = params, full_loss(params)
+    best, best_loss = params, value_loss(params, full, z, config.penalty, config.ridge)
     curve: list[float] = []
     stalled = 0
     while len(curve) < config.epochs and stalled < _PATIENCE:
         order = rng.permutation(len(entries))
         for lo in range(0, len(order), _BATCH):
             idx = order[lo:lo + _BATCH]
-            # one stacked graph serves the gradient and every step-size trial
-            part = stack_observations(observations[i] for i in idx)
+            part = Pieces(observations[i] for i in idx)
             ridge = config.ridge * len(idx) / len(entries)
             try:
                 before, grads = grad(params, part, "value", returns=z[idx],
@@ -190,7 +186,7 @@ def train_envelope(
                     params = trial
                     break
                 lr *= 0.5
-        loss = full_loss(params)
+        loss = value_loss(params, full, z, config.penalty, config.ridge)
         if not math.isfinite(loss):
             raise ValueError("envelope training diverged; use a smaller learning rate")
         curve.append(loss)
@@ -200,7 +196,7 @@ def train_envelope(
 
     params = best.copy()
     _rescale_value_head(params, mean, std)
-    values = state_values(params, stack_observations(observations))
+    values = state_values(params, full)
     report = EnvelopeReport(
         final_loss=best_loss,
         violation_fraction=float((values < returns).mean()),

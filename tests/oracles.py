@@ -4,8 +4,9 @@ These deliberately avoid the library's own solver paths: LP optima come from
 dense vertex enumeration, MILP optima from exhaustive enumeration of binary
 assignments or of small integer boxes, the simplex ratio test from a plain
 numpy-scalar loop, simplex pricing from the boolean-mask rule it replaced,
-the GCNN's half-convolutions from their edge-level form, and statistical
-claims from an exact binomial tail.
+the GCNN's half-convolutions from their edge-level form, the GCNN's stacked
+pieces from slices of one stack of every state, and statistical claims from
+an exact binomial tail.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchlab.gnn import GraphBatch, segment_sum
+from branchlab.gnn import _CHUNK, GraphBatch, segment_sum
+from branchlab.observation import CONS_FEATURES, BipartiteObservation
 from branchlab.simplex import _AT_LOWER, _AT_UPPER, _FREE
 
 
@@ -236,3 +238,69 @@ def half_conv_edges_backward(P, p: EdgePass, g: GraphBatch, d_out: np.ndarray, g
     d_cons = segment_sum(d_pre @ P[f"{msg}_w_c"].T, g.edge_row, p.cons.shape[0])
     d_var = segment_sum(d_pre @ P[f"{msg}_w_v"].T, g.edge_col, p.var.shape[0])
     return d_own, d_cons, d_var
+
+
+# ---------------------------------------------------------------------------
+# Pieces sliced out of one stack of every state, with their offsets and
+# labels re-based to the piece: the network's former input path, which the
+# pieces it stacks one at a time must reproduce array for array.
+# ---------------------------------------------------------------------------
+
+def stack_whole(states):
+    """Observations, or (obs, cand, action) triples with their labels,
+    stacked as one disjoint union; also each graph's first variable,
+    constraint and edge, and past the last graph their totals."""
+    labelled = not isinstance(states[0], BipartiteObservation)
+    obs = [s[0] for s in states] if labelled else list(states)
+    sizes = np.array([(o.num_vars, o.num_cons, len(o.edge_val)) for o in obs], dtype=np.int64)
+    starts = np.zeros((len(obs) + 1, 3), dtype=np.int64)
+    np.cumsum(sizes, axis=0, out=starts[1:])
+    cons = [o.cons_features for o in obs if o.num_cons]
+    labels = None
+    if labelled:
+        cand_idx, cand_graph, action_idx = [], [], []
+        for k, (_o, cand, action) in enumerate(states):
+            cand_idx.extend(int(c) + int(starts[k, 0]) for c in cand)
+            cand_graph.extend([k] * len(cand))
+            action_idx.append(int(action) + int(starts[k, 0]))
+        labels = tuple(np.asarray(a, dtype=np.int64) for a in (cand_idx, cand_graph, action_idx))
+    whole = GraphBatch(
+        np.concatenate([o.var_features for o in obs]),
+        np.concatenate(cons) if cons else np.zeros((0, CONS_FEATURES)),
+        np.concatenate([np.asarray(o.edge_row, dtype=np.int64) + off
+                        for o, off in zip(obs, starts[:-1, 1])]),
+        np.concatenate([np.asarray(o.edge_col, dtype=np.int64) + off
+                        for o, off in zip(obs, starts[:-1, 0])]),
+        np.concatenate([o.edge_val for o in obs]).reshape(-1, 1),
+        np.repeat(np.arange(len(obs), dtype=np.int64), sizes[:, 0]),
+        1.0 / np.maximum(sizes[:, :1], 1),
+        labels,
+    )
+    return whole, starts
+
+
+class SlicedPieces:
+    """What ``gnn.Pieces`` gives a pass, each piece of at most ``_CHUNK``
+    graphs sliced out of :func:`stack_whole` and re-based to the piece."""
+
+    def __init__(self, states):
+        states = list(states)
+        self.num_graphs = len(states)
+        self.labelled = not isinstance(states[0], BipartiteObservation)
+        self.whole, self.starts = stack_whole(states)
+
+    def __iter__(self):
+        g, starts = self.whole, self.starts
+        for lo in range(0, g.num_graphs, _CHUNK):
+            hi = min(lo + _CHUNK, g.num_graphs)
+            (v0, c0, e0), (v1, c1, e1) = starts[lo], starts[hi]
+            labels = None
+            if g.labels is not None:
+                cand_idx, cand_graph, action_idx = g.labels
+                k0, k1 = np.searchsorted(cand_graph, (lo, hi))    # stacked in graph order
+                labels = (cand_idx[k0:k1] - v0, cand_graph[k0:k1] - lo, action_idx[lo:hi] - v0)
+            yield GraphBatch(
+                g.var_features[v0:v1], g.cons_features[c0:c1],
+                g.edge_row[e0:e1] - c0, g.edge_col[e0:e1] - v0, g.edge_val[e0:e1],
+                g.var_graph[v0:v1] - lo, g.pool_scale[lo:hi], labels,
+            )

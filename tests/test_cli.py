@@ -177,7 +177,7 @@ def test_select_scores_with_the_fitted_envelope_once(tmp_path, monkeypatch):
     for command in ("generate", "collect", "select"):
         assert _run(command, ov) == 0, command
     (returns, params, report), = fits
-    values = gnn.state_values(params, gnn.stack_observations(e.obs for e in returns.entries))
+    values = gnn.state_values(params, gnn.Pieces(e.obs for e in returns.entries))
     assert values.tobytes() == report.values.tobytes()
     G = np.array([e.G for e in returns.entries])
     assert report.violation_fraction == float(np.mean(values < G))
@@ -330,6 +330,15 @@ def test_cli_import_sets_only_unset_blas_thread_variables():
         f"print(json.dumps({{v: os.environ.get(v) for v in {_BLAS_VARS!r}}}))",
         OMP_NUM_THREADS="3")
     assert got == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    """Only ``eval.workers > 1`` runs a process pool, so importing the CLI
+    does not load it (1.9 MB of RSS in every stage process)."""
+    loaded = _child_import(
+        "import json, sys, branchlab.cli\n"
+        "print(json.dumps('concurrent.futures.process' in sys.modules))")
+    assert loaded is False
 
 
 def test_stage_manifests_record_wall_time(tmp_path):

@@ -90,7 +90,7 @@ def fd_gradient_check(params, batch, head, n_coords, seed, h=1e-5, **kwargs):
     """Worst relative FD/analytic error over n_coords smooth coordinates."""
     rng = np.random.default_rng(seed)
     returns = kwargs.get("returns")
-    stacked = gnn.stack_states(batch)
+    stacked = gnn.Pieces(batch)
     if head == "policy":
         loss_fn = lambda: gnn.policy_loss(params, stacked)
     else:
@@ -164,7 +164,7 @@ def test_cross_entropy_uniform_is_log_c():
     for c in (2, 3, 7):
         obs = random_observation(rng, n=8)
         cand = tuple(range(c))
-        loss = gnn.policy_loss(params, gnn.stack_states([(obs, cand, 0)]))
+        loss = gnn.policy_loss(params, gnn.Pieces([(obs, cand, 0)]))
         assert loss == pytest.approx(math.log(c), abs=1e-12)
 
 
@@ -184,14 +184,14 @@ def test_cross_entropy_saturates():
     params.arrays["pol_w"][0, 0] = 1.0
     logits, _ = gnn.forward_numpy(params, obs)
     assert logits[1] - logits.max(initial=-np.inf, where=np.arange(4) != 1) >= 30.0 - 1e-9
-    loss = gnn.policy_loss(params, gnn.stack_states([(obs, (0, 1, 2, 3), 1)]))
+    loss = gnn.policy_loss(params, gnn.Pieces([(obs, (0, 1, 2, 3), 1)]))
     assert loss <= 1e-12
 
 
 def test_batch_loss_matches_independent_recomputation():
     states = collect_states(count=2)
     params = gnn.init_params(5)
-    loss, _ = gnn.grad(params, gnn.stack_states(states), "policy")
+    loss, _ = gnn.grad(params, gnn.Pieces(states), "policy")
     # independent scalar recomputation with explicit log-softmax
     total = 0.0
     for obs, cand, action in states:
@@ -222,7 +222,7 @@ def test_gradients_match_finite_differences():
 def test_value_head_gradient_zero_under_policy_loss():
     states = collect_states(count=3)
     params = gnn.init_params(1)
-    _, grads = gnn.grad(params, gnn.stack_states(states), "policy")
+    _, grads = gnn.grad(params, gnn.Pieces(states), "policy")
     assert np.all(grads["val_w"] == 0.0)
     assert np.all(grads["val_b"] == 0.0)
 
@@ -231,7 +231,7 @@ def test_policy_head_gradient_zero_under_value_loss():
     states = collect_states(count=3)
     params = gnn.init_params(1)
     _, grads = gnn.grad(
-        params, gnn.stack_states(states), "value",
+        params, gnn.Pieces(states), "value",
         returns=np.zeros(3), penalty=1000.0, ridge=0.0,
     )
     assert np.all(grads["pol_w"] == 0.0)
@@ -246,7 +246,7 @@ def test_gradient_vanishes_at_exact_minimum():
     g = 0.375
     params.arrays["val_b"][0] = g
     returns = np.array([g, g])
-    _, grads = gnn.grad(params, gnn.stack_states(states), "value", returns=returns,
+    _, grads = gnn.grad(params, gnn.Pieces(states), "value", returns=returns,
                         penalty=1000.0, ridge=0.0)
     total = math.sqrt(sum(float((v**2).sum()) for v in grads.values()))
     assert total < 1e-10
@@ -295,13 +295,13 @@ def test_stacked_gradient_equals_per_state_gradients():
         for name in gnn.PARAM_NAMES:
             assert float(np.abs(stacked[name] - expected[name]).max()) <= 1e-12 * scale, name
 
-    _, stacked = gnn.grad(params, gnn.stack_states(batch), "policy")
-    singles = [gnn.grad(params, gnn.stack_states([s]), "policy")[1] for s in batch]
+    _, stacked = gnn.grad(params, gnn.Pieces(batch), "policy")
+    singles = [gnn.grad(params, gnn.Pieces([s]), "policy")[1] for s in batch]
     close(stacked, {k: sum(g[k] for g in singles) / len(batch) for k in gnn.PARAM_NAMES})
 
     kwargs = dict(penalty=1000.0, ridge=0.0)
-    _, stacked = gnn.grad(params, gnn.stack_states(batch), "value", returns=returns, **kwargs)
-    singles = [gnn.grad(params, gnn.stack_states([s]), "value", returns=returns[i:i + 1],
+    _, stacked = gnn.grad(params, gnn.Pieces(batch), "value", returns=returns, **kwargs)
+    singles = [gnn.grad(params, gnn.Pieces([s]), "value", returns=returns[i:i + 1],
                         **kwargs)[1]
                for i, s in enumerate(batch)]
     close(stacked, {k: sum(g[k] for g in singles) for k in gnn.PARAM_NAMES})
@@ -315,7 +315,7 @@ def test_grad_loss_is_the_scorers_loss():
     rng = np.random.default_rng(13)
     params = gnn.init_params(4)
     batch = _mixed_batch(rng, empty_at=(1, 31))
-    stacked = gnn.stack_states(batch)
+    stacked = gnn.Pieces(batch)
     gnn.prenormalize(params, stacked)
     returns = rng.normal(0.0, 1.0, len(batch))
 
@@ -326,11 +326,51 @@ def test_grad_loss_is_the_scorers_loss():
         assert loss == gnn.value_loss(params, stacked, returns, penalty, ridge)
 
 
+def test_pieces_equal_slices_of_one_whole_stack():
+    """Each piece stacked on its own holds the arrays of its slice of one
+    stack of every state (``tests/oracles.py``), offsets and labels re-based
+    to the piece, so every output is bit-identical: on 75 states of mixed
+    sizes (three pieces, the last one short), constraint-free graphs closing
+    the first piece and opening the second, and a one-candidate graph, the
+    prenormalisation scales, the values, both losses and both heads'
+    gradients (ridge 0 and 0.5), from kept pieces and re-stacked ones."""
+    rng = np.random.default_rng(75)
+    batch = _mixed_batch(rng, empty_at=(31, 32))
+    obs = batch[40][0]
+    batch[40] = (obs, (obs.num_vars - 1,), obs.num_vars - 1)
+    observations = [obs for obs, _c, _a in batch]
+    returns = rng.normal(0.0, 1.0, len(batch))
+
+    def outputs(pieces, value_pieces):
+        params = gnn.init_params(6)
+        gnn.prenormalize(params, value_pieces)
+        out = {name: params.arrays[name] for name in gnn.NORM_NAMES}
+        out["values"] = gnn.state_values(params, value_pieces)
+        out["policy/loss"] = gnn.policy_loss(params, pieces)
+        loss, grads = gnn.grad(params, pieces, "policy")
+        out["policy/grad-loss"] = loss
+        out.update({f"policy/{name}": grads[name] for name in gnn.PARAM_NAMES})
+        for ridge in (0.0, 0.5):
+            out[f"value{ridge}/loss"] = gnn.value_loss(params, value_pieces, returns, 1000.0,
+                                                       ridge)
+            loss, grads = gnn.grad(params, value_pieces, "value", returns=returns,
+                                   penalty=1000.0, ridge=ridge)
+            out[f"value{ridge}/grad-loss"] = loss
+            out.update({f"value{ridge}/{name}": grads[name] for name in gnn.PARAM_NAMES})
+        return out
+
+    reference = outputs(oracles.SlicedPieces(batch), oracles.SlicedPieces(observations))
+    got = outputs(gnn.Pieces(batch), gnn.Pieces(observations))
+    assert got.keys() == reference.keys()
+    for key, ref in reference.items():
+        assert np.array_equal(got[key], ref), key
+
+
 def test_clip_gradients_independent_of_dict_order():
     """Shuffling the gradient dict's insertion order clips to bitwise the
     same arrays, on data where the order of the norm's sum matters."""
     states = collect_states(count=3)
-    _, grads = gnn.grad(gnn.init_params(5), gnn.stack_states(states), "value",
+    _, grads = gnn.grad(gnn.init_params(5), gnn.Pieces(states), "value",
                         returns=np.full(3, 50.0), penalty=1000.0, ridge=1e-3)
     rng = np.random.default_rng(0)
     orders = [list(gnn.PARAM_NAMES)] + [
@@ -476,7 +516,7 @@ def test_descent_lemma_small_step():
     """Full-batch loss is non-increasing for a sufficiently small step."""
     states = collect_states(count=4)
     params = gnn.init_params(4)
-    stacked = gnn.stack_states(states)
+    stacked = gnn.Pieces(states)
     prev = gnn.policy_loss(params, stacked)
     for _ in range(25):
         _, grads = gnn.grad(params, stacked, "policy")
@@ -538,10 +578,10 @@ def test_width_mismatch_rejected():
 def _network_outputs(params, batch, returns):
     """Stacked logits, values, both heads' gradients (each head's parameter
     gradients as one vector) and the scales that prenormalisation fixes."""
-    stacked = gnn.stack_states(batch)
+    stacked = gnn.Pieces(batch)
     fresh = gnn.init_params(9)
     gnn.prenormalize(fresh, stacked)
-    logits, values, _ = gnn._forward(params.arrays, stacked)
+    logits, values, _ = gnn._forward(params.arrays, gnn.stack_states(batch))
     heads = {
         head: gnn.grad(params, stacked, head, **kwargs)[1]
         for head, kwargs in (("policy", {}),
@@ -585,7 +625,7 @@ def test_node_level_half_convolutions_match_edge_level_reference(monkeypatch):
                                            replace=False).tolist()))
             triples.append((obs, cand, int(rng.choice(cand))))
         params = gnn.init_params(trial)
-        gnn.prenormalize(params, gnn.stack_states(triples))
+        gnn.prenormalize(params, gnn.Pieces(triples))
         returns = rng.normal(0.0, 1.0, len(triples))
 
         node_level = _network_outputs(params, triples, returns)
@@ -624,28 +664,33 @@ def _traced_peak(fn) -> int:
 
 def test_gcnn_memory_grows_with_nodes_not_edge_products():
     """Memory guard on 16x3 knapsack-sized states with every edge present
-    (48 edges per state), the inputs stacked outside the measured calls. The
-    value-head gradient of 256 states peaked at 29.6 MB when every message
-    layer ran on the edges, at 20.0 MB with the node-level form in one pass,
-    and at 2.9 MB (numpy 2.4) in 32-graph pieces; it must stay below 6 MB.
-    Over 1024 states it must peak within 1 MB of that, so that the piece
-    size, not the batch size, sets it; and a value-only forward over 1024
-    states must stay below it, so that scoring is never the envelope fit's
-    peak."""
+    (48 edges per state), each measured call given the states, so that their
+    stacking is measured too. The value-head gradient of 256 states peaked
+    at 29.6 MB when every message layer ran on the edges, at 20.0 MB with the
+    node-level form in one pass, and at 2.9 MB (numpy 2.4) in 32-graph
+    pieces; it must stay below 6 MB. Over 1024 states the gradient, the
+    values and the value loss must each peak within 1 MB of the same call
+    over 256 states, so that the piece size, not the number of states, sets
+    each peak (stacking 1024 such states at once takes about 3 MB); and a
+    value-only forward over 1024 states must stay below the 256-state
+    gradient, so that scoring is never the envelope fit's peak."""
     rng = np.random.default_rng(5)
     states = [_dense_state(rng) for _ in range(1024)]
     params = gnn.init_params(1)
     returns = rng.normal(0.0, 1.0, len(states))
-    few = gnn.stack_states([(obs, (0, 1, 2), 1) for obs in states[:256]])
-    many = gnn.stack_states([(obs, (0, 1, 2), 1) for obs in states])
-    observations = gnn.stack_observations(states)
 
-    def grad_peak(batch):
-        return _traced_peak(lambda: gnn.grad(params, batch, "value",
-                                             returns=returns[:batch.num_graphs],
-                                             penalty=1000.0, ridge=1e-4))
+    def peaks(count):
+        part, z = states[:count], returns[:count]
+        return {
+            "grad": _traced_peak(lambda: gnn.grad(params, gnn.Pieces(part), "value", returns=z,
+                                                  penalty=1000.0, ridge=1e-4)),
+            "values": _traced_peak(lambda: gnn.state_values(params, gnn.Pieces(part))),
+            "loss": _traced_peak(lambda: gnn.value_loss(params, gnn.Pieces(part), z, 1000.0,
+                                                        1e-4)),
+        }
 
-    few_peak = grad_peak(few)
-    assert few_peak < 6 * 2**20
-    assert grad_peak(many) < few_peak + 2**20
-    assert _traced_peak(lambda: gnn.state_values(params, observations)) < few_peak
+    few, many = peaks(256), peaks(1024)
+    assert few["grad"] < 6 * 2**20
+    for name, peak in many.items():
+        assert peak < few[name] + 2**20, (name, peak, few[name])
+    assert many["values"] < few["grad"]

@@ -63,7 +63,7 @@ def test_constant_envelope_zero_weights_has_zero_loss():
     params = gnn.init_params(0, zero=True)
     g = 1.25
     params.arrays["val_b"][0] = g
-    batch = gnn.stack_states((s[0], s[1], s[2]) for s in states)
+    batch = gnn.Pieces((s[0], s[1], s[2]) for s in states)
     loss = gnn.value_loss(params, batch, np.full(3, g), penalty=1000.0, ridge=1e-4)
     assert loss == 0.0
 
@@ -71,7 +71,7 @@ def test_constant_envelope_zero_weights_has_zero_loss():
 def test_penalty_one_is_plain_ridge_loss():
     states = collect_states(count=4)
     params = gnn.init_params(2)
-    batch = gnn.stack_states((s[0], s[1], s[2]) for s in states)
+    batch = gnn.Pieces((s[0], s[1], s[2]) for s in states)
     returns = np.array([0.3, -1.0, 2.0, 0.9])
     lam = 1e-3
     lk = gnn.value_loss(params, batch, returns, penalty=1.0, ridge=lam)
@@ -131,7 +131,7 @@ def test_envelope_reaches_large_negative_returns():
     params, report = train_envelope(
         rs, EnvelopeConfig(ridge=1e-4, penalty=1000.0, epochs=200, lr=1e-3, seed=0)
     )
-    values = gnn.state_values(params, gnn.stack_observations(e.obs for e in rs.entries))
+    values = gnn.state_values(params, gnn.Pieces(e.obs for e in rs.entries))
     span = G.max() - G.min()
     assert np.all(values >= G.min() - 0.1 * span)
     assert np.all(values <= G.max() + 0.1 * span)

@@ -19,9 +19,11 @@ results are never compared against stored digests. Probes:
   sibling's bound, and children that tighten two bounds at once;
 - ``lp-infeasible-start``: random LPs whose slack basis violates rows, and
   their children;
-- ``gcnn``: on one seeded batch of five graphs of mixed sizes (one without
-  constraints), the hex of every logit, every value, both loss heads' losses
-  and gradients, and the prenormalisation scales;
+- ``gcnn``: on one seeded batch of 75 graphs of mixed sizes (three network
+  pieces, the last one short, with graphs without constraints at 31 and 32,
+  the last of one piece and the first of the next), the hex of every logit,
+  every value, both loss heads' losses and gradients, and the
+  prenormalisation scales;
 - ``run-root``: every file of a seed-11 run root after all seven CLI stages
   at 16/4/8 instances. A manifest is compared without its ``wall_s``, the
   stage's wall time.
@@ -195,7 +197,8 @@ def probe_gcnn() -> dict[str, str]:
 
     rng = np.random.default_rng(41)
     batch = []
-    for n, m in ((16, 3), (9, 4), (5, 0), (12, 6), (16, 3)):
+    for k in range(75):
+        n, m = int(rng.integers(4, 17)), 0 if k in (31, 32) else int(rng.integers(1, 7))
         rows, cols = np.nonzero(rng.random((m, n)) < 0.7)
         obs = BipartiteObservation(
             rng.uniform(-1, 1, (n, VAR_FEATURES)), rng.uniform(-1, 1, (m, CONS_FEATURES)),
@@ -203,19 +206,15 @@ def probe_gcnn() -> dict[str, str]:
         cand = tuple(sorted(rng.choice(n, size=4, replace=False).tolist()))
         batch.append((obs, cand, cand[int(rng.integers(4))]))
     returns = rng.normal(0.0, 1.0, len(batch))
-    # A tree whose GCNN takes only stacked batches has ``stack_states``; an
-    # older tree takes the triples and bare observations. This fallback goes
-    # away in the next change to this probe.
-    if hasattr(gnn, "stack_states"):
-        stacked = states = gnn.stack_states(batch)
-    else:
-        stacked, states = [obs for obs, _c, _a in batch], batch
+    # A tree whose GCNN stacks its own pieces has ``Pieces``; an older tree
+    # takes one stack of the whole batch.
+    states = (gnn.Pieces if hasattr(gnn, "Pieces") else gnn.stack_states)(batch)
     params = gnn.init_params(3)
-    gnn.prenormalize(params, stacked)
+    gnn.prenormalize(params, states)
     items = {f"scale/{name}": hexes(params.arrays[name]) for name in gnn.NORM_NAMES}
     for k, (obs, _c, _a) in enumerate(batch):
         items[f"logits/{k}"] = hexes(gnn.forward_numpy(params, obs)[0])
-    items["values"] = hexes(gnn.state_values(params, stacked))
+    items["values"] = hexes(gnn.state_values(params, states))
     for head, kwargs in (("policy", {}),
                          ("value", {"returns": returns, "penalty": 1000.0, "ridge": 1e-4})):
         loss, grads = gnn.grad(params, states, head, **kwargs)
