@@ -6,10 +6,15 @@ the engine performs (node solves, strong-branching probes, dive estimates),
 so identical inputs give identical traces regardless of machine. A wall-clock
 mode exists for reporting but is not reproducible.
 
-A node's two children come from one probe of the variable it branches on:
-the pair the policy already probed (strong branching probes every candidate),
-or else a fresh one. So each child LP is solved, counted on the clock, checked
-against its parent and folded into the pseudocosts once.
+A node's two children are one pair of LPs for the variable it branches on:
+the pair the policy already probed (strong branching probes every candidate)
+or else a fresh pair. So each child LP is solved, counted on the clock,
+checked against its parent and folded into the pseudocosts once. A probe
+solves its pair with the dual simplex, a fresh pair with the primal repair
+(``SimplexSolver.probe_children`` of the engine's two solvers): a cheaper
+child would buy more nodes within a pseudo-clock budget, so the node
+children of the policies that do not probe keep the pivots their budgets
+were set with.
 
 The dual-bound trace holds (clock, best dual bound) events; the dual integral
 is the area between the optimum and the bound curve over the horizon and is 0
@@ -88,7 +93,8 @@ class DualTrace:
         if self.events:
             last_clock, last_bound = self.events[-1]
             if bound < last_bound - 1e-15 * (1 + abs(last_bound)):
-                raise ValueError(
+                # only an inexact LP lowers the bound: a numerical fault
+                raise NumericalInstabilityError(
                     f"dual bound decreased: {last_bound} -> {bound} at clock {clock}"
                 )
             if bound <= last_bound:
@@ -250,7 +256,8 @@ class _Engine:
         self.policy = policy
         self.budget = budget
         self.record_episode = record_episode
-        self.solver = SimplexSolver(inst)
+        self.solver = SimplexSolver(inst, dual_probes=False)    # node LPs
+        self.prober = SimplexSolver(inst)       # the children a policy probes
         self.pc = PseudocostStore(inst.num_vars)
         self.rng = np.random.default_rng([seed, stable_key(inst.name)])
         self.iterations = 0
@@ -281,11 +288,17 @@ class _Engine:
         return _checked(sol)
 
     def probe(self, node: BnbNode, j: int) -> tuple[LpSolution, LpSolution]:
+        """The (down, up) children of branching on j, solved by the dual
+        simplex from the node's LP."""
+        return self._children(node, j, self.prober)
+
+    def _children(self, node: BnbNode, j: int, solver) -> tuple[LpSolution, LpSolution]:
         """The (down, up) children of branching on j, solved warm from the
-        node's LP. Each optimal child is checked against the parent (a
-        tightened child cannot beat it beyond ``FEAS_TOL``) and folded into
-        the pseudocosts; this is the only place either happens."""
-        down, up = self.solver.probe_children(node.overrides, node.lp, j)
+        node's LP by ``solver.probe_children``. Each is counted on the clock,
+        and each optimal child is checked against the parent (a tightened
+        child cannot beat it beyond ``FEAS_TOL``) and folded into the
+        pseudocosts; this is the only place any of these happens."""
+        down, up = solver.probe_children(node.overrides, node.lp, j)
         self.iterations += down.iterations + up.iterations
         parent_obj = node.lp.objective
         xj = float(node.lp.x[j])
@@ -430,7 +443,7 @@ class _Engine:
             self.decisions.append(Transition(obs=ctx.observation, cand=node.candidate_set,
                                              action=action, reward=0.0, clock=decision_clock))
         xj = float(node.lp.x[action])
-        down, up = ctx.probed.get(action) or self.probe(node, action)
+        down, up = ctx.probed.get(action) or self._children(node, action, self.solver)
         self._add_child(node, BoundOverride(action, "upper", math.floor(xj)), down)
         self._add_child(node, BoundOverride(action, "lower", math.ceil(xj)), up)
 

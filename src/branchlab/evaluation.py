@@ -202,7 +202,8 @@ def select_best_checkpoint(
 
     ``valid_batch`` (obs, cand, action) triples give each checkpoint's
     cross-entropy loss; otherwise the loss stored at save time
-    is reported. Ties go to the later checkpoint. Raises if none loads.
+    is reported. Ties go to the later checkpoint, and a checkpoint that
+    solved no instance ranks below every other. Raises if none loads.
     """
     if not checkpoints:
         raise ValueError("no checkpoints given")
@@ -235,9 +236,14 @@ def select_best_checkpoint(
     for entry in table:
         if entry.error:
             continue
-        if best is None or entry.mean_reward >= best.mean_reward:
+        if best is None or _rank(entry) >= _rank(best):
             best = entry
     return best.checkpoint_id, table
+
+
+def _rank(entry: CheckpointEntry) -> float:
+    """A checkpoint's mean reward, with NaN (no row solved) below every number."""
+    return -math.inf if math.isnan(entry.mean_reward) else entry.mean_reward
 
 
 def checkpoint_table_json(best_id: str, table: list[CheckpointEntry]) -> str:

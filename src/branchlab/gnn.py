@@ -31,8 +31,9 @@ gradient, and segment-sums it by constraint and by variable to reach
 ``W_c``, ``W_v`` and the embeddings.
 
 A batch of observations runs as one disjoint-union graph through one plain
-numpy forward, :func:`_forward`, which serves inference, loss evaluation and
-prenormalisation and returns the activations it computed. :func:`grad`
+numpy forward, :func:`_forward`, which serves inference and loss evaluation
+and returns the activations it computed; prenormalisation runs it only as far
+as the raw message sums it reads (:func:`_raw_sums`). :func:`grad`
 differentiates the network with a hand-written backward over those
 activations: the two loss heads, the two half-convolutions and the input
 embeddings. Edge gathers are differentiated by row scatters accumulated with
@@ -262,8 +263,7 @@ class _Pass:
     active: np.ndarray     # (E, HIDDEN) bool: message pre-activation > 0
     summed: np.ndarray     # relu of the message pre-activations, summed per receiver
     degree: np.ndarray     # (R,) edges per receiver
-    raw: np.ndarray        # summed messages before the prenormalisation scale
-    agg: np.ndarray        # raw times the scale
+    agg: np.ndarray        # summed messages times the prenormalisation scale
     hidden: np.ndarray     # relu of the update's pre-activations
 
     @property
@@ -279,6 +279,20 @@ def _half_conv(P, msg: str, upd: str, cons, var, g: GraphBatch, to_cons: bool):
     Both message layers multiply node arrays: the first layer's endpoint
     terms are projected before the gather, and the second layer is applied
     to the per-receiver sums (its bias once per incident edge)."""
+    own = cons if to_cons else var
+    act, summed, degree, raw = _message_sums(P, msg, cons, var, g, to_cons)
+    agg = raw * P[f"{msg}_norm"]
+    hidden = np.maximum((own @ P[f"{upd}_w_self"] + agg @ P[f"{upd}_w_agg"]) + P[f"{upd}_b1"],
+                        0.0)
+    out = hidden @ P[f"{upd}_w2"] + P[f"{upd}_b2"]
+    return out, _Pass(msg, upd, cons, var, to_cons, act > 0.0, summed, degree, agg,
+                      hidden)
+
+
+def _message_sums(P, msg: str, cons, var, g: GraphBatch, to_cons: bool):
+    """The messages of one half-convolution, summed per receiver: the
+    relu activations per edge, their sums, the receivers' edge counts and
+    the raw sums (before the prenormalisation scale)."""
     own, idx = (cons, g.edge_row) if to_cons else (var, g.edge_col)
     pre = (cons @ P[f"{msg}_w_c"] + P[f"{msg}_b1"])[g.edge_row]
     pre += (var @ P[f"{msg}_w_v"])[g.edge_col]
@@ -287,19 +301,19 @@ def _half_conv(P, msg: str, upd: str, cons, var, g: GraphBatch, to_cons: bool):
     summed = segment_sum(act, idx, own.shape[0])
     degree = np.bincount(idx, minlength=own.shape[0]).astype(np.float64)
     raw = summed @ P[f"{msg}_w2"] + degree[:, None] * P[f"{msg}_b2"]
-    agg = raw * P[f"{msg}_norm"]
-    hidden = np.maximum((own @ P[f"{upd}_w_self"] + agg @ P[f"{upd}_w_agg"]) + P[f"{upd}_b1"],
-                        0.0)
-    out = hidden @ P[f"{upd}_w2"] + P[f"{upd}_b2"]
-    return out, _Pass(msg, upd, cons, var, to_cons, act > 0.0, summed, degree, raw, agg,
-                      hidden)
+    return act, summed, degree, raw
+
+
+def _embed(P, g: GraphBatch):
+    """The input embeddings: variables (N, HIDDEN), constraints (M, HIDDEN)."""
+    return (g.var_features @ P["emb_v_w"] + P["emb_v_b"],
+            g.cons_features @ P["emb_c_w"] + P["emb_c_b"])
 
 
 def _forward(P, g: GraphBatch):
     """Stacked logits (N, 1), per-graph values (B, 1), and the activations
-    the backward and :func:`prenormalize` read."""
-    V0 = g.var_features @ P["emb_v_w"] + P["emb_v_b"]
-    C0 = g.cons_features @ P["emb_c_w"] + P["emb_c_b"]
+    the backward reads."""
+    V0, C0 = _embed(P, g)
     C1, gc = _half_conv(P, "gc", "fc", C0, V0, g, True)
     V1, gv = _half_conv(P, "gv", "fv", C1, V0, g, False)
     logits = V1 @ P["pol_w"] + P["pol_b"]
@@ -369,17 +383,27 @@ def prenormalize(params: GcnnParameters, batch: Pieces) -> None:
     (node and channel) of the given states, taken with the earlier scale
     already fixed; a pass whose sums are all but zero keeps scale 1.
     """
+    P = params.arrays
     for name in NORM_NAMES:
-        params.arrays[name][:] = 1.0
+        P[name][:] = 1.0
     for name in NORM_NAMES:
-        msg = name.split("_")[0]
         squares, count = 0.0, 0
         for piece in batch:
-            raw = _forward(params.arrays, piece)[2][msg].raw
+            raw = _raw_sums(P, piece, name.split("_")[0])
             squares += float((raw ** 2).sum())
             count += raw.size
         rms = math.sqrt(squares / count) if count else 0.0
-        params.arrays[name][:] = 1.0 / rms if rms > 1e-8 else 1.0
+        P[name][:] = 1.0 / rms if rms > 1e-8 else 1.0
+
+
+def _raw_sums(P, g: GraphBatch, msg: str) -> np.ndarray:
+    """The raw message sums of the half-convolution ``msg`` ("gc" or "gv"),
+    computed as :func:`_forward` computes them, and nothing after them."""
+    V0, C0 = _embed(P, g)
+    if msg == "gc":
+        return _message_sums(P, "gc", C0, V0, g, True)[3]
+    C1, _ = _half_conv(P, "gc", "fc", C0, V0, g, True)
+    return _message_sums(P, "gv", C1, V0, g, False)[3]
 
 
 def masked_probabilities(logits: np.ndarray, cand: tuple[int, ...]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex over dense desk-scale LPs.
+"""Bounded-variable primal and dual simplex over dense desk-scale LPs.
 
 The solver works on the slack form ``A x + s = b`` with ``l <= x <= u`` and
 ``s >= 0``, on ``W = [A I]`` alone: there are no artificial columns.
@@ -13,6 +13,37 @@ short of the bound proves the LP infeasible. A repaired variable keeps its
 true bounds, so each is repaired at most once: a bounded-variable phase 1
 (Maros, Computational Techniques of the Simplex Method, 2003). A
 branch-and-bound child starts with exactly one repair.
+
+The children that ``probe_children`` solves (strong branching's probes)
+take a bounded dual simplex instead (``_dual``; Koberstein, PhD thesis,
+Paderborn 2005): a child warm-started from its parent's optimal basis is
+dual feasible, and dual pivots move its out-of-bound basic variables to
+their bounds, keeping every reduced cost's sign, until the point is
+feasible; ``_phase_two`` then prices once more, refactorizes and audits, as
+after a repair. Each dual pivot counts one iteration, as a primal pivot
+does. The dual's choices are deterministic:
+
+- the leaving row is the largest bound violation beyond ``FEAS_TOL``,
+  ties to the lowest row (``_leaving_row``);
+- the entering column is the least ratio of reduced cost to pivot-row
+  entry among the columns that move the leaving variable toward its bound
+  with ``|pivot| > _PIVOT_TOL``; among ratios within 1e-12 of the least,
+  the largest ``|pivot|`` wins, ties to the lowest index
+  (``_dual_ratio_test``);
+- no eligible column proves the child infeasible;
+- after 3(n+m) pivots without a rise in the dual objective, both choices
+  take the lowest index, as the primal switches to Bland's rule.
+
+A start that is not dual feasible within ``_DUAL_TOL`` raises
+``ValueError``; there is no fallback. Every other warm start, a
+branch-and-bound node's own children among them, takes the primal repair:
+the pseudo-clock counts iterations, so a cheaper child buys more nodes
+within a budget set in iterations. With the dual for every child,
+``pipeline`` (seed 1) took 48,230 iterations instead of 53,614 and read a
+worse ``gap_integral`` (1.0021 against 0.99155), so node children wait
+until budgets stop rewarding cheaper LPs (ROADMAP item 10). The pipeline's policies never
+probe, so only strong-branching runs see the dual: on ``solve-wide``
+(seed 1) its probes took 10,073 iterations instead of 21,511.
 
 A warm start factorizes its basis with one ``np.linalg.inv`` of
 ``W[:, basis]``. The solver keeps the last such inverse with its basis and
@@ -37,7 +68,10 @@ branch-and-bound numpy's cost per call, not its arithmetic, sets the time:
 - the basis-side data that scan reads (the basis and its lower and upper
   bounds, as lists) and ``cost[basis]`` (an array, for the duals) are taken
   once per call of ``_iterate`` and updated in place by each pivot, as the
-  bounds do not move within a call.
+  bounds do not move within a call;
+- the dual mirrors this: it prices its leaving row with one ``argmax`` of
+  the bound violations (``_leaving_row``), and scans the columns for its
+  entering one on plain Python floats (``_dual_ratio_test``).
 
 Exactness contract: every pivot, iteration count and returned field is the
 same, bit for bit, as with whole-array code that gathers everything afresh
@@ -144,7 +178,7 @@ class _State:
 class SimplexSolver:
     """Reusable solver context for one instance; caches the dense matrix."""
 
-    def __init__(self, inst: MilpInstance):
+    def __init__(self, inst: MilpInstance, dual_probes: bool = True):
         self.inst = inst
         self.n = inst.num_vars
         self.m = inst.num_cons
@@ -161,6 +195,8 @@ class SimplexSolver:
         self._bscale = 1.0 + (float(np.abs(self.b).max()) if self.m else 0.0)
         self._warm_basis: tuple[int, ...] | None = None    # last warm basis ...
         self._warm_inv: np.ndarray | None = None           # ... and its inverse
+        self.dual_probes = dual_probes      # probe_children's method: the dual, else the repair
+        self._probing = False               # True while probe_children solves by the dual
 
     # -- public API ----------------------------------------------------------
 
@@ -186,7 +222,10 @@ class SimplexSolver:
             return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), 0)
 
         state = self._start(lb, ub, warm)
-        status = self._repair(state, iter_limit)
+        if self._probing:
+            status = self._dual(state, iter_limit)
+        else:
+            status = self._repair(state, iter_limit)
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status, None, math.inf, (), state.iters)
         return self._phase_two(state, iter_limit)
@@ -198,21 +237,28 @@ class SimplexSolver:
         j: int,
         iter_limit: int = 100_000,
     ) -> tuple[LpSolution, LpSolution]:
-        """Solve the floor/ceil children of branching on variable j."""
+        """Solve the floor/ceil children of branching on variable j, each
+        through ``solve`` from the parent's basis: with the dual simplex, or
+        with the primal repair when the solver was made with
+        ``dual_probes=False``."""
         if parent.status is not LpStatus.OPTIMAL or parent.x is None:
             raise ValueError("parent solution must be optimal")
         xj = float(parent.x[j])
         frac = xj - math.floor(xj)
         if min(frac, 1.0 - frac) <= INT_TOL:
             raise ValueError(f"variable {j} is integral at {xj!r}; nothing to probe")
-        down = self.solve(
-            tuple(overrides) + (BoundOverride(j, "upper", math.floor(xj)),),
-            warm=parent, iter_limit=iter_limit,
-        )
-        up = self.solve(
-            tuple(overrides) + (BoundOverride(j, "lower", math.ceil(xj)),),
-            warm=parent, iter_limit=iter_limit,
-        )
+        self._probing = self.dual_probes
+        try:
+            down = self.solve(
+                tuple(overrides) + (BoundOverride(j, "upper", math.floor(xj)),),
+                warm=parent, iter_limit=iter_limit,
+            )
+            up = self.solve(
+                tuple(overrides) + (BoundOverride(j, "lower", math.ceil(xj)),),
+                warm=parent, iter_limit=iter_limit,
+            )
+        finally:
+            self._probing = False
         return down, up
 
     # -- start construction ----------------------------------------------------
@@ -314,6 +360,74 @@ class SimplexSolver:
             state.stat[k] = _AT_UPPER if above else _AT_LOWER
             self._set_basic_values(state)
         return LpStatus.OPTIMAL
+
+    def _dual(self, state, iter_limit) -> LpStatus:
+        """Run dual pivots from a dual feasible start until the point is
+        primal feasible (``_phase_two`` then finishes the solve).
+
+        Each pivot takes the leaving row from ``_leaving_row``, brings in the
+        column ``_dual_ratio_test`` picks and sets the leaving variable at
+        its violated bound, so every reduced cost keeps its sign. No eligible
+        column proves the LP infeasible. The dual objective, ``cost @ x``,
+        never falls; after 3(n+m) pivots without a rise both choices take
+        the lowest index, as ``_iterate`` switches to Bland's rule.
+        """
+        W, b, cost, x, stat, basis = self.W, self.b, self.cost, state.x, state.stat, state.basis
+        # basis-side state, updated in place by each pivot (the bounds do not
+        # move within one call), and the statuses as a list for the ratio test
+        lbb, ubb, cb = state.lb[basis], state.ub[basis], cost[basis]
+        stat_l = stat.tolist()
+        d = cost - (cb @ state.Binv) @ W
+        if _price(d, stat, (stat == _FREE).nonzero()[0].tolist(), False)[0] >= 0:
+            raise ValueError("warm start is not dual feasible")
+        bland = False
+        stall = 0
+        stall_limit = 3 * (self.n + self.m)
+        prev_obj = float(cost @ x)
+        while True:
+            r, above = _leaving_row(basis, x[basis], lbb, ubb, bland)
+            if r < 0:
+                return LpStatus.OPTIMAL
+            if state.iters >= iter_limit:
+                return LpStatus.ITERATION_LIMIT
+
+            Binv = state.Binv
+            e = _dual_ratio_test(d.tolist(), (Binv[r] @ W).tolist(), stat_l, above, bland)
+            if e < 0:
+                return LpStatus.INFEASIBLE
+
+            col = Binv @ W[:, e]
+            k = basis.item(r)
+            bound = ubb.item(r) if above else lbb.item(r)
+            t = (x.item(k) - bound) / col.item(r)       # the entering variable's move
+            x[e] = x.item(e) + t
+            x[basis] -= t * col
+            stat[k] = stat_l[k] = _AT_UPPER if above else _AT_LOWER
+            x[k] = bound
+            basis[r] = e
+            lbb[r], ubb[r], cb[r] = state.lb[e], state.ub[e], cost[e]
+            stat[e] = stat_l[e] = _BASIC
+            # |col[r]| > _PIVOT_TOL: the ratio test skips smaller entries
+            prow = Binv[r] / col[r]
+            Binv -= col[:, None] * prow
+            Binv[r] = prow
+            state.pivots += 1
+            if (
+                state.pivots % _REFACTOR_EVERY == 0
+                or np.abs(W @ x - b).max() > _DRIFT_TOL * self._bscale
+            ):
+                self._refactor(state)
+
+            state.iters += 1
+            d = cost - (cb @ state.Binv) @ W
+            obj = float(cost @ x)
+            if obj > prev_obj + 1e-12 * (1.0 + abs(prev_obj)):
+                stall = 0
+                prev_obj = obj
+            else:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
 
     # -- core iteration ---------------------------------------------------------
 
@@ -543,3 +657,75 @@ def _ratio_test(basis, xb, lbb, ubb, step, own, bland) -> tuple[float, int]:
             elif abs(ci) > abs(step[leave_row]):
                 leave_row = i
     return t_best, leave_row
+
+
+def _leaving_row(basis, xb, lbb, ubb, bland) -> tuple[int, bool]:
+    """The leaving row of one dual pivot, and whether its basic variable lies
+    above its upper bound (else below its lower bound).
+
+    Row i's basic variable ``basis[i]`` has value ``xb[i]`` and bounds
+    ``lbb[i]``, ``ubb[i]`` (all arrays). The row whose value lies furthest
+    outside its bounds, by more than ``FEAS_TOL``, wins: ``argmax`` keeps the
+    lowest of equal rows. Bland's rule takes the violated row of lowest
+    variable index. Returns ``(-1, False)`` when every row is within its
+    bounds (or a NaN value stops ``argmax``, which the audit then rejects).
+    """
+    violation = np.maximum(xb - ubb, lbb - xb)
+    if bland:
+        rows = np.flatnonzero(violation > FEAS_TOL)
+        if not len(rows):
+            return -1, False
+        r = int(rows[basis[rows].argmin()])
+    else:
+        r = int(violation.argmax())
+        if not violation.item(r) > FEAS_TOL:
+            return -1, False
+    return r, xb.item(r) > ubb.item(r)
+
+
+def _dual_ratio_test(d, alpha, stat, above, bland) -> int:
+    """The entering column of one dual pivot.
+
+    ``d`` holds the reduced costs, ``stat`` the status codes and ``alpha``
+    the leaving row of ``B^-1 W``; the leaving variable goes to its upper
+    bound when ``above``, else to its lower one. A nonbasic column is
+    eligible when moving it the way its bound allows (a free column either
+    way) moves the leaving variable toward that bound, with ``|alpha_j| >
+    _PIVOT_TOL``. Its ratio is how far its reduced cost lies on the
+    optimal side of 0 (0 when it lies within the tolerance on the other
+    side), over ``|alpha_j|``. Among the columns within 1e-12 of the least
+    ratio, the largest ``|alpha_j|`` wins, ties to the lowest index; Bland's
+    rule takes the lowest index. Returns -1 when no column is eligible. All
+    arguments are plain Python floats and lists.
+    """
+    sign = 1.0 if above else -1.0
+    t_min = math.inf
+    eligible = []       # (ratio, |alpha_j|, j) in column order
+    for j, s in enumerate(stat):
+        if s == _BASIC:
+            continue
+        a = sign * alpha[j]
+        if s == _AT_LOWER:
+            if a <= _PIVOT_TOL:
+                continue
+            slack = d[j]
+        elif s == _AT_UPPER:
+            if a >= -_PIVOT_TOL:
+                continue
+            a, slack = -a, -d[j]
+        else:
+            a, slack = abs(a), abs(d[j])
+            if a <= _PIVOT_TOL:
+                continue
+        t = (0.0 if slack < 0.0 else slack) / a
+        if t < t_min:
+            t_min = t
+        eligible.append((t, a, j))
+    best, best_a = -1, 0.0
+    for t, a, j in eligible:
+        if t <= t_min + 1e-12:
+            if bland:
+                return j
+            if a > best_a:
+                best, best_a = j, a
+    return best

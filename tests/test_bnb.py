@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -22,7 +23,7 @@ from branchlab.rules import (
     MostInfeasiblePolicy,
     StrongBranchingPolicy,
 )
-from branchlab.simplex import LpStatus, NumericalInstabilityError
+from branchlab.simplex import BoundOverride, LpStatus, NumericalInstabilityError
 
 from .conftest import make_instance
 from .oracles import brute_force_binary, brute_force_integer
@@ -60,7 +61,7 @@ def test_dual_integral_monotonicity_violation():
 def test_trace_append_rejects_decrease():
     tr = DualTrace(horizon=10, opt_value=5.0)
     tr.append(0, 3.0)
-    with pytest.raises(ValueError, match="decreased"):
+    with pytest.raises(NumericalInstabilityError, match="decreased"):
         tr.append(1, 2.0)
 
 
@@ -276,10 +277,12 @@ class _UnrecordedProbes:
 
 class ResolvingStrongBranching(StrongBranchingPolicy):
     """Strong branching's scores and choices, with the chosen children
-    solved a second time, as the engine once did."""
+    probed a second time, as the engine once solved them again."""
 
     def select(self, ctx):
-        return super().select(_UnrecordedProbes(ctx))
+        j = super().select(_UnrecordedProbes(ctx))
+        ctx.probe(j)
+        return j
 
 
 def _sample_instances():
@@ -393,6 +396,27 @@ class ProbeFirst(BranchingPolicy):
         return j
 
 
+def test_only_probed_children_take_the_dual(monkeypatch):
+    """The dual simplex solves exactly the children a policy probes: both
+    children of every node under a policy that probes its choice, none
+    under one that does not probe."""
+    from branchlab import simplex
+
+    duals = []
+    dual = simplex.SimplexSolver._dual
+
+    def counting(self, state, iter_limit):
+        duals.append(self.dual_probes)
+        return dual(self, state, iter_limit)
+
+    monkeypatch.setattr(simplex.SimplexSolver, "_dual", counting)
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
+    res = solve(inst, MostInfeasiblePolicy(), Budget(max_nodes=10_000), seed=0)
+    assert res.nodes_processed > 1 and duals == []
+    res = solve(inst, ProbeFirst(), Budget(max_nodes=10_000), seed=0)
+    assert res.nodes_processed > 1 and duals == [True] * (2 * res.nodes_processed)
+
+
 def _stub_probes(monkeypatch, change):
     from branchlab import bnb
 
@@ -466,3 +490,42 @@ def test_general_integer_instances_match_enumeration(monkeypatch):
             solved += 1
     assert all(seen - {0.0, 1.0} for seen in values.values()), values
     assert solved >= 15 * len(STANDARD_POLICIES), (solved, infeasible)
+
+
+def test_strong_branching_probes_match_solve_on_general_integers(monkeypatch):
+    """Strong branching, whose probes run the dual simplex, reaches the
+    enumerated optimum of the general-integer instances above, and every
+    probed child has the status of the same child solved by ``solve`` (the
+    primal repair) from the same parent, and its objective within 1e-9
+    relative."""
+    from branchlab import bnb
+
+    compared = collections.Counter()
+
+    class CheckingSolver(bnb.SimplexSolver):
+        def probe_children(self, overrides, parent, j, iter_limit=100_000):
+            pair = super().probe_children(overrides, parent, j, iter_limit=iter_limit)
+            xj = float(parent.x[j])
+            split = (BoundOverride(j, "upper", math.floor(xj)),
+                     BoundOverride(j, "lower", math.ceil(xj)))
+            for child, ov in zip(pair, split):
+                ref = self.solve(tuple(overrides) + (ov,), warm=parent)
+                assert child.status is ref.status
+                if child.status is LpStatus.OPTIMAL:
+                    assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+                compared[child.status] += 1
+            return pair
+
+    monkeypatch.setattr(bnb, "SimplexSolver", CheckingSolver)
+    solved = 0
+    for inst in _general_integer_instances(20, seed=5):
+        expected, _ = brute_force_integer(inst)
+        res = solve(inst, StrongBranchingPolicy(), Budget(max_nodes=100_000), seed=1)
+        if expected is None:
+            assert res.status is SolveStatus.INFEASIBLE, inst.name
+            continue
+        assert res.status is SolveStatus.OPTIMAL, inst.name
+        assert res.incumbent_value == pytest.approx(expected, abs=1e-6), inst.name
+        solved += 1
+    assert solved >= 15, solved
+    assert compared[LpStatus.OPTIMAL] >= 80 and compared[LpStatus.INFEASIBLE] >= 30, compared

@@ -160,6 +160,32 @@ def test_checkpoint_tie_goes_to_later(tmp_path):
     assert best == "b"
 
 
+def test_checkpoint_that_solved_nothing_is_not_selected(tmp_path, monkeypatch):
+    """A checkpoint whose every validation row failed has a NaN mean reward;
+    loaded first, it must still lose to a checkpoint that solved something."""
+    from branchlab import evaluation
+
+    evaluate = evaluation.evaluate_policy
+
+    def first_fails(policy, instances, budget, **kwargs):
+        report = evaluate(policy, instances, budget, **kwargs)
+        if policy.name == "a":
+            report.rows = [EvalRow(r.instance, "error", error="RuntimeError: boom")
+                           for r in report.rows]
+        return report
+
+    monkeypatch.setattr(evaluation, "evaluate_policy", first_fails)
+    params = gnn.init_params(0)
+    pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
+    gnn.save_checkpoint(pa, params, {"valid_loss": 0.4})
+    gnn.save_checkpoint(pb, params, {"valid_loss": 0.6})
+    best, table = select_best_checkpoint(
+        [("a", pa), ("b", pb)], _instances("multi-knapsack", 2), Budget(max_nodes=30)
+    )
+    assert math.isnan(table[0].mean_reward) and math.isfinite(table[1].mean_reward)
+    assert best == "b"
+
+
 def test_all_checkpoints_failing_raises(tmp_path):
     bad = tmp_path / "bad.npz"
     bad.write_bytes(b"not a checkpoint")

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from branchlab.simplex import (
     SimplexSolver,
     _price,
     _ratio_test,
+    _dual_ratio_test,
+    _leaving_row,
     _State,
 )
 
@@ -348,13 +351,18 @@ def test_audit_rejects_a_nan_point():
 def test_warm_children_match_cold_and_vertex_enumeration():
     """Both children of a fractional variable, warm-started from the parent,
     on random LPs with degenerate rows (b = 0), tied costs, general-integer
-    boxes and some infinite upper bounds: each agrees with a cold solve, and
-    with vertex enumeration wherever the child's box is finite. Where a
-    second variable is fractional, four more children tighten a bound of each
-    at once: both are basic in the parent, so these start with two
-    out-of-bound basic variables."""
+    boxes, some infinite upper bounds and some free variables: each agrees
+    with a cold solve, and with vertex enumeration wherever the child's box
+    is finite. Where a second variable is fractional, four more children
+    tighten a bound of each at once: both are basic in the parent, so these
+    start with two out-of-bound basic variables. Both variables are also
+    probed (``probe_children``, the dual simplex): each probed child has the
+    status of the same child solved by ``solve`` and its objective within
+    1e-9 relative, and is checked against the cold solve and enumeration
+    too."""
     rng = np.random.default_rng(11)
     pick = np.random.default_rng(12)        # second variables, apart from the LPs' draws
+    frees = np.random.default_rng(13)       # free variables, apart from the LPs' draws
     counts = collections.Counter()
     for k in range(1000):
         n = int(rng.integers(2, 5))
@@ -367,11 +375,14 @@ def test_warm_children_match_cold_and_vertex_enumeration():
         lo = rng.integers(0, 2, n).astype(float)
         up = lo + rng.integers(1, 6, n)
         up[rng.random(n) < 0.2] = np.inf
+        free = frees.random(n) < 0.08
+        lo[free], up[free] = -np.inf, np.inf
         inst = make_instance(f"w{k}", c, A, b, lo, up, n)
         solver = SimplexSolver(inst)
         parent = solver.solve()
         if parent.status is not LpStatus.OPTIMAL:
             continue
+        counts["free variable"] += bool(free.any())
         frac = [j for j in range(n) if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
         if not frac:
             continue
@@ -380,39 +391,62 @@ def test_warm_children_match_cold_and_vertex_enumeration():
         down = BoundOverride(j, "upper", math.floor(xj))
         up_ov = BoundOverride(j, "lower", math.ceil(xj))
         children = [(down,), (up_ov,)]
+        probed = {}     # single-override children, solved by probe_children
         others = [v for v in frac if v != j]
+        for v in [j] + others[:1]:
+            xv = float(parent.x[v])
+            pair = solver.probe_children((), parent, v)
+            for side, value, child in (("upper", math.floor(xv), pair[0]),
+                                       ("lower", math.ceil(xv), pair[1])):
+                probed[(BoundOverride(v, side, value),)] = child
         if others:
             j2 = others[int(pick.integers(len(others)))]
             x2 = float(parent.x[j2])
             children += [(a, b2) for a in (down, up_ov) for b2 in (
                 BoundOverride(j2, "upper", math.floor(x2)),
                 BoundOverride(j2, "lower", math.ceil(x2)))]
+        children += [ovs for ovs in probed if ovs not in children]
         for ovs in children:
             warm = solver.solve(ovs, warm=parent)
             cold = solver.solve(ovs)
             assert warm.status is cold.status, (k, ovs)
             counts[warm.status] += 1
-            if warm.status is LpStatus.OPTIMAL:
-                assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
-                assert np.all(A @ warm.x <= b + 1e-7)
+            found = [warm]
+            if ovs in probed:
+                child = probed[ovs]
+                assert child.status is warm.status, (k, ovs)
+                counts[f"probed {child.status.value}"] += 1
+                if child.status is LpStatus.OPTIMAL:
+                    assert child.objective == pytest.approx(warm.objective, rel=1e-9, abs=1e-9)
+                found.append(child)
+            for sol in found:
+                if sol.status is LpStatus.OPTIMAL:
+                    assert sol.objective == pytest.approx(cold.objective, abs=1e-7)
+                    assert np.all(A @ sol.x <= b + 1e-7)
             child_lo, child_up = lo.copy(), up.copy()
             for ov in ovs:
                 (child_up if ov.side == "upper" else child_lo)[ov.var] = ov.value
             outside = [v for v in parent.basis if v < n and not
                        child_lo[v] - 1e-7 <= parent.x[v] <= child_up[v] + 1e-7]
             counts["two or more violated at the start"] += len(outside) >= 2
-            if np.all(np.isfinite(child_up)):
+            if np.all(np.isfinite(child_lo)) and np.all(np.isfinite(child_up)):
                 expected = lp_vertex_optimum(c, A, b, child_lo, child_up)
                 counts["enumerated"] += 1
-                if expected is None:
-                    assert warm.status is LpStatus.INFEASIBLE, (k, ovs)
-                else:
-                    assert warm.status is LpStatus.OPTIMAL, (k, ovs)
-                    assert warm.objective == pytest.approx(expected, abs=1e-7)
+                counts["probed and enumerated"] += ovs in probed
+                for sol in found:
+                    if expected is None:
+                        assert sol.status is LpStatus.INFEASIBLE, (k, ovs)
+                    else:
+                        assert sol.status is LpStatus.OPTIMAL, (k, ovs)
+                        assert sol.objective == pytest.approx(expected, abs=1e-7)
     assert counts[LpStatus.OPTIMAL] >= 250, counts
     assert counts[LpStatus.INFEASIBLE] >= 150, counts
     assert counts["enumerated"] >= 250, counts
     assert counts["two or more violated at the start"] >= 150, counts
+    assert counts["probed optimal"] >= 250, counts
+    assert counts["probed infeasible"] >= 150, counts
+    assert counts["probed and enumerated"] >= 250, counts
+    assert counts["free variable"] >= 50, counts
 
 
 def _solution_bytes(sol):
@@ -478,3 +512,92 @@ def test_shared_warm_factorization_is_bit_identical():
         assert shared._warm_basis == parent.basis
         switched += 1
     assert compared >= 200 and switched >= 100, (compared, switched)
+
+
+def test_dual_tie_rules():
+    """The leaving row is the largest violation beyond FEAS_TOL, ties to the
+    lowest row; the entering column the largest |alpha| among ratios within
+    1e-12 of the least, ties to the lowest index, and |alpha| must exceed
+    the pivot tolerance. Bland's rule takes the lowest variable index for
+    both."""
+    inf = math.inf
+    basis = np.array([7, 5, 9, 4])
+    lbb, ubb = np.array([0.0, 0.0, -inf, 0.0]), np.array([1.0, inf, 2.0, 1.0])
+
+    def leaving(xb, bland=False):
+        return _leaving_row(basis, np.array(xb), lbb, ubb, bland)
+
+    assert leaving([1.5, -0.5, 2.5, 0.5]) == (0, True)
+    assert leaving([1.5, -0.5, 2.5, 0.5], bland=True) == (1, False)
+    assert leaving([1.0 + 5e-8, -5e-8, 2.0, 1.0]) == (-1, False)
+    assert leaving([0.5, -0.75, 2.75, -0.75]) == (1, False)
+    assert leaving([0.5, 0.5, 2.5, -2.0], bland=True) == (3, False)
+
+    L, U, B, F = _AT_LOWER, _AT_UPPER, _BASIC, _FREE
+    stat = [L, U, B, L, F, L]
+    # leaving to the upper bound, a column at its lower bound needs alpha > 0
+    # and one at its upper bound alpha < 0; ratios 1, 1, 1 + 1e-13 and 2
+    d = [1.0, -2.0, 0.0, 3.0 * (1.0 + 1e-13), 0.0, 4.0]
+    alpha = [1.0, -2.0, 5.0, 3.0, 0.0, 2.0]
+    assert _dual_ratio_test(d, alpha, stat, True, False) == 3      # largest |alpha|
+    assert _dual_ratio_test(d, alpha, stat, True, True) == 0       # lowest index
+    even = [1.0, -1.0, 5.0, 1.0, 0.0, 1.0]                          # ratios 1, 1, 3, 4
+    assert _dual_ratio_test([1.0, -1.0, 0.0, 3.0, 0.0, 4.0], even, stat, True, False) == 0
+    neg = [-a for a in alpha]
+    assert _dual_ratio_test(d, neg, stat, False, False) == 3       # leaving to lower
+    assert _dual_ratio_test(d, neg, stat, True, False) == -1       # none eligible
+    far = [1.0, -2.0, 0.0, 3.0 * (1.0 + 2e-12), 0.0, 4.0]
+    assert _dual_ratio_test(far, alpha, stat, True, False) == 1    # 1 + 2e-12: no tie
+    assert _dual_ratio_test(d, alpha[:5] + [8.0], stat, True, False) == 5   # ratio 0.5
+    free = alpha[:4] + [2.0 * _PIVOT_TOL, 2.0]
+    assert _dual_ratio_test(d, free, stat, True, False) == 4       # free, ratio 0
+    tiny = [_PIVOT_TOL, 2.0, 5.0, -3.0, _PIVOT_TOL, -2.0]
+    assert _dual_ratio_test(d, tiny, stat, True, False) == -1      # |alpha| too small
+    assert _dual_ratio_test([-1e-12] + d[1:], alpha, stat, True, False) == 0   # ratio 0
+
+
+def test_probe_from_a_start_that_is_not_dual_feasible_raises(knapsack):
+    """A probe's dual simplex needs a dual feasible start, as an optimal
+    parent's basis is; any other raises instead of falling back."""
+    solver = SimplexSolver(knapsack)
+    parent = solver.solve()
+    slack_start = dataclasses.replace(parent, basis=(2,), at_upper=frozenset())
+    with pytest.raises(ValueError, match="not dual feasible"):
+        solver.probe_children((), slack_start, 1)
+    assert solver.probe_children((), parent, 1)[0].status is LpStatus.OPTIMAL
+
+
+def test_degenerate_probe_reaches_the_lowest_index_rule(monkeypatch):
+    """A dual-degenerate child (every cost but one is 0) on which the
+    largest-|alpha| rule cycles through the same 12 entering columns: after
+    3(n+m) pivots without a rise in the dual objective the lowest-index rule
+    takes over, and the probe proves the child infeasible, as ``solve`` does
+    from the same start and cold; the sibling probe agrees with ``solve``
+    as well."""
+    from branchlab import simplex
+
+    A = [[-3, -3, -3, 1, -1, 2, -3, 3, 1], [-1, 1, 3, 2, -1, -2, 3, -1, 0],
+         [1, -1, -1, -3, 1, 0, -1, 3, -3], [-2, 3, 1, 0, 1, 2, -2, 2, -2],
+         [0, -1, 3, -1, 3, 3, 3, 2, 1], [-3, 2, 0, -1, 2, 3, -2, -3, 0],
+         [1, 0, -2, -1, 2, -3, -3, 3, 2], [1, -1, 0, 0, 3, 2, -1, -2, -3]]
+    inst = make_instance("cycling", [-1] + [0] * 8, A, [0, 3, 0, 0, 0, 1, 0, 2],
+                         [0] * 9, [2, 5, 4, 5, 4, 7, 6, 6, 7], 9)
+    solver = SimplexSolver(inst)
+    parent = solver.solve()
+    assert parent.x[6] == pytest.approx(2 / 9)
+    rules = []
+    ratio_test = simplex._dual_ratio_test
+
+    def recording(d, alpha, stat, above, bland):
+        rules.append(bland)
+        return ratio_test(d, alpha, stat, above, bland)
+
+    monkeypatch.setattr(simplex, "_dual_ratio_test", recording)
+    down, up = solver.probe_children((), parent, 6)
+    assert any(rules) and not rules[0]
+    assert rules.index(True) > 3 * (inst.num_vars + inst.num_cons)
+    assert up.status is LpStatus.INFEASIBLE
+    for child, ov in ((down, BoundOverride(6, "upper", 0.0)), (up, BoundOverride(6, "lower", 1.0))):
+        for ref in (solver.solve((ov,), warm=parent), solver.solve((ov,))):
+            assert child.status is ref.status
+            assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)

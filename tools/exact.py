@@ -15,6 +15,8 @@ results are never compared against stored digests. Probes:
 - ``lp-children``: random LPs whose slack basis is feasible, each child of a
   fractional variable warm-started from its parent and each grandchild from
   its child, so every warm start has exactly one out-of-bound basic variable;
+- ``lp-probe-children``: on the same LPs, both ``probe_children``
+  children (the dual simplex) of every fractional variable of each root;
 - ``lp-siblings``: children of the same LPs warm-started under their
   sibling's bound, and children that tighten two bounds at once;
 - ``lp-infeasible-start``: random LPs whose slack basis violates rows, and
@@ -144,8 +146,9 @@ def probe_lps(kind: str) -> dict[str, str]:
         return (BoundOverride(j, "upper", math.floor(xj)),
                 BoundOverride(j, "lower", math.ceil(xj)))
 
-    rng = np.random.default_rng({"lp-children": 31, "lp-siblings": 31,
-                                 "lp-infeasible-start": 37}[kind])
+    probing = kind == "lp-probe-children"     # lp-children's LPs, its probes alone
+    rng = np.random.default_rng({"lp-children": 31, "lp-probe-children": 31,
+                                 "lp-siblings": 31, "lp-infeasible-start": 37}[kind])
     items = {}
     for k in range(LP_ROOTS):
         inst = _random_lp(rng, kind != "lp-infeasible-start")
@@ -156,6 +159,10 @@ def probe_lps(kind: str) -> dict[str, str]:
         frac = fractional(root, n)
         if not frac:
             continue
+        if probing:
+            for v in frac:
+                for side, sol in zip(("down", "up"), solver.probe_children((), root, v)):
+                    items[f"{k}/probe{v}/{side}"] = _solution_hex(sol)
         j = frac[int(rng.integers(len(frac)))]
         down, up_ov = split(j, float(root.x[j]))
         children = {side: solver.solve((ov,), warm=root)
@@ -185,7 +192,7 @@ def probe_lps(kind: str) -> dict[str, str]:
             for ov2 in split(j2, float(child.x[j2])):
                 sol = solver.solve((ov, ov2), warm=child)
                 items[f"{k}/{side}/{ov2.side}{j2}"] = _solution_hex(sol)
-    return items
+    return {key: text for key, text in items.items() if ("/probe" in key) == probing}
 
 
 def probe_gcnn() -> dict[str, str]:
@@ -254,6 +261,7 @@ PROBES = {
     "solve-small": lambda: probe_solves("solve-small"),
     "solve-wide": lambda: probe_solves("solve-wide"),
     "lp-children": lambda: probe_lps("lp-children"),
+    "lp-probe-children": lambda: probe_lps("lp-probe-children"),
     "lp-siblings": lambda: probe_lps("lp-siblings"),
     "lp-infeasible-start": lambda: probe_lps("lp-infeasible-start"),
     "gcnn": probe_gcnn,
