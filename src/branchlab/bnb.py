@@ -16,6 +16,15 @@ child would buy more nodes within a pseudo-clock budget, so the node
 children of the policies that do not probe keep the pivots their budgets
 were set with.
 
+Whenever the incumbent improves, the engine sets the objective limit of
+the solver that probes (``SimplexSolver.objective_limit``) to the incumbent
+less ``PRUNE_TOL``, the margin by which a child or a queued node is pruned.
+A probe whose dual objective reaches the limit stops there
+(``LpStatus.CUTOFF``): the engine drops such a child as it drops an
+infeasible one, leaves it out of the pseudocosts, as every child that is
+not optimal, and strong branching scores it by its objective, a lower
+bound on the child's.
+
 The dual-bound trace holds (clock, best dual bound) events; the dual integral
 is the area between the optimum and the bound curve over the horizon and is 0
 when the instance is solved at the root. Per-decision rewards are the bound
@@ -47,6 +56,8 @@ from .simplex import (
     SimplexSolver,
 )
 from .trajectories import Episode, Transition
+
+PRUNE_TOL = 1e-9    # a bound within this of the incumbent cannot improve it
 
 
 class SolveStatus(enum.Enum):
@@ -339,21 +350,22 @@ class _Engine:
         if value < self.incumbent_value - 1e-12:
             self.incumbent = x
             self.incumbent_value = value
+            self.prober.objective_limit = value - PRUNE_TOL
 
     def _add_child(self, parent: BnbNode, override: BoundOverride, lp: LpSolution) -> None:
-        """Queue one probed child unless it is infeasible, integral or
-        pruned. A child LP may come back a little below its parent's (within
+        """Queue one probed child unless it is infeasible, cut off, integral
+        or pruned. A child LP may come back a little below its parent's (within
         ``FEAS_TOL``); the child's bound, which keys the heap and so the
         dual-bound trace, is then the parent's, so the trace never decreases."""
         lp = _checked(lp)
-        if lp.status is LpStatus.INFEASIBLE:
+        if lp.status is LpStatus.INFEASIBLE or lp.status is LpStatus.CUTOFF:
             return
         cands = self._candidates(lp)
         if not cands:
             self._try_incumbent(lp)
             return
         bound = max(parent.bound, lp.objective)
-        if bound >= self.incumbent_value - 1e-9:
+        if bound >= self.incumbent_value - PRUNE_TOL:
             return
         node = BnbNode(
             id=self.next_id, depth=parent.depth + 1,
@@ -363,7 +375,7 @@ class _Engine:
         heapq.heappush(self.heap, (bound, node.id, node))
 
     def _cleanup_heap(self) -> None:
-        while self.heap and self.heap[0][0] >= self.incumbent_value - 1e-9:
+        while self.heap and self.heap[0][0] >= self.incumbent_value - PRUNE_TOL:
             heapq.heappop(self.heap)
 
     def current_bound(self) -> float:

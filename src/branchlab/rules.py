@@ -218,18 +218,19 @@ class StrongBranchingPolicy(BranchingPolicy):
         best, best_score = None, -math.inf
         for j in sorted(int(c) for c in ctx.candidates):
             down, up = ctx.probe(j)
-            gain_down = (
-                down.objective - ctx.lp.objective
-                if down.status is LpStatus.OPTIMAL else INFEASIBLE_GAIN
-            )
-            gain_up = (
-                up.objective - ctx.lp.objective
-                if up.status is LpStatus.OPTIMAL else INFEASIBLE_GAIN
-            )
-            score = score_product(gain_down, gain_up)
+            score = score_product(_gain(down, ctx.lp), _gain(up, ctx.lp))
             if score > best_score:
                 best, best_score = j, score
         return best
+
+
+def _gain(child, parent) -> float:
+    """A probed child's objective gain over its parent: a lower bound on it
+    for a child cut off at the incumbent, ``INFEASIBLE_GAIN`` for an
+    infeasible one."""
+    if child.status is LpStatus.OPTIMAL or child.status is LpStatus.CUTOFF:
+        return child.objective - parent.objective
+    return INFEASIBLE_GAIN
 
 
 class ActiveConstraintPolicy(BranchingPolicy):

@@ -20,8 +20,7 @@ Paderborn 2005): a child warm-started from its parent's optimal basis is
 dual feasible, and dual pivots move its out-of-bound basic variables to
 their bounds, keeping every reduced cost's sign, until the point is
 feasible; ``_phase_two`` then prices once more, refactorizes and audits, as
-after a repair. Each dual pivot counts one iteration, as a primal pivot
-does. The dual's choices are deterministic:
+after a repair. The dual's choices are deterministic:
 
 - the leaving row is the largest bound violation beyond ``FEAS_TOL``,
   ties to the lowest row (``_leaving_row``);
@@ -30,9 +29,29 @@ does. The dual's choices are deterministic:
   with ``|pivot| > _PIVOT_TOL``; among ratios within 1e-12 of the least,
   the largest ``|pivot|`` wins, ties to the lowest index
   (``_dual_ratio_test``);
-- no eligible column proves the child infeasible;
+- bound flipping (the long-step ratio test): a boxed column the ratio test
+  returns is passed, flipped to its other bound, when the leaving row would
+  still be violated by more than ``FEAS_TOL`` after its move of
+  ``|pivot| * width``; the ratio test is then asked again, and the flipped
+  column, no longer eligible, gives way to the next breakpoint. The first
+  column that cannot be passed enters, and the flips move the point at
+  once. The threshold is ``_leaving_row``'s: with 0 in its place, a child
+  whose violation equals the sum of the passable widths would be declared
+  infeasible whenever rounding left a remainder after the last of them;
+- no eligible column, before or after flips, proves the child infeasible;
 - after 3(n+m) pivots without a rise in the dual objective, both choices
-  take the lowest index, as the primal switches to Bland's rule.
+  take the lowest index and nothing flips, as the primal switches to
+  Bland's rule.
+
+A dual pivot counts one iteration however many columns it flips, as a
+primal pivot counts one: the flips are arithmetic inside one ratio test.
+The dual objective ``cost @ x`` of a dual feasible basis bounds the child's
+optimum from below, up to the dual tolerance ``_DUAL_TOL`` on the reduced
+costs. So once a pivot takes it to ``objective_limit`` or above, the solve
+stops with ``LpStatus.CUTOFF`` and that objective, without a point or a
+basis: the branch-and-bound engine sets the limit of the solver that probes
+to its incumbent less its prune tolerance, and a child that cannot beat
+the incumbent needs no optimum. The limit is infinite by default.
 
 A start that is not dual feasible within ``_DUAL_TOL`` raises
 ``ValueError``; there is no fallback. Every other warm start, a
@@ -41,9 +60,11 @@ the pseudo-clock counts iterations, so a cheaper child buys more nodes
 within a budget set in iterations. With the dual for every child,
 ``pipeline`` (seed 1) took 48,230 iterations instead of 53,614 and read a
 worse ``gap_integral`` (1.0021 against 0.99155), so node children wait
-until budgets stop rewarding cheaper LPs (ROADMAP item 10). The pipeline's policies never
-probe, so only strong-branching runs see the dual: on ``solve-wide``
-(seed 1) its probes took 10,073 iterations instead of 21,511.
+until budgets stop rewarding cheaper LPs (ROADMAP item 10). The pipeline's
+policies never probe, so only strong-branching runs see the dual. Its
+probes (seed 1) took 21,511 iterations on ``solve-wide`` with the primal
+repair, 10,073 with the textbook dual and 8,067 with bound flipping and the
+limit; on ``solve-small`` 16,982, 11,225 and 3,871.
 
 A warm start factorizes its basis with one ``np.linalg.inv`` of
 ``W[:, basis]``. The solver keeps the last such inverse with its basis and
@@ -55,7 +76,8 @@ array, where an inverse kept on every solution would multiply it by the open
 nodes.
 
 Each pivot runs a few whole-array numpy operations (the reduced costs, the
-entering column, the point and the rank-1 update of the basis inverse) and
+entering column, the point and the rank-1 update of the basis inverse, whose
+product goes into a buffer kept for the solve, ``_State.update``) and
 keeps everything else off numpy, since on the 3-row LPs that dominate
 branch-and-bound numpy's cost per call, not its arithmetic, sets the time:
 
@@ -113,6 +135,7 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration-limit"
+    CUTOFF = "cutoff"
 
 
 class SimplexError(RuntimeError):
@@ -143,6 +166,8 @@ class LpSolution:
     """Result of one LP solve.
 
     ``x``, ``duals`` and ``reduced_costs`` are defined when status is optimal;
+    a ``CUTOFF`` solve's ``objective`` is the dual objective it stopped at, a
+    lower bound on the optimum, and it has no basis;
     ``basis`` holds the basic variable indices in row order (indices >= n are
     slacks) and ``at_upper`` the nonbasic-at-upper set, enough to warm-start a
     child solve.
@@ -162,7 +187,7 @@ class _State:
     """Mutable solve state; lives for one solve() call, across its repairs and
     phase two."""
 
-    __slots__ = ("lb", "ub", "basis", "stat", "x", "Binv", "pivots", "iters")
+    __slots__ = ("lb", "ub", "basis", "stat", "x", "Binv", "update", "pivots", "iters")
 
     def __init__(self, lb, ub, basis, stat, x, Binv):
         self.lb = lb
@@ -171,6 +196,7 @@ class _State:
         self.stat = stat        # (n + m,) status codes
         self.x = x              # (n + m,) current point
         self.Binv = Binv        # (m, m)
+        self.update = np.empty_like(Binv)   # each pivot's rank-1 update of Binv
         self.pivots = 0
         self.iters = 0
 
@@ -197,6 +223,7 @@ class SimplexSolver:
         self._warm_inv: np.ndarray | None = None           # ... and its inverse
         self.dual_probes = dual_probes      # probe_children's method: the dual, else the repair
         self._probing = False               # True while probe_children solves by the dual
+        self.objective_limit = math.inf     # the dual stops (CUTOFF) at this objective
 
     # -- public API ----------------------------------------------------------
 
@@ -226,6 +253,8 @@ class SimplexSolver:
             status = self._dual(state, iter_limit)
         else:
             status = self._repair(state, iter_limit)
+        if status is LpStatus.CUTOFF:
+            return LpSolution(status, None, float(self.cost @ state.x), (), state.iters)
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status, None, math.inf, (), state.iters)
         return self._phase_two(state, iter_limit)
@@ -365,14 +394,19 @@ class SimplexSolver:
         """Run dual pivots from a dual feasible start until the point is
         primal feasible (``_phase_two`` then finishes the solve).
 
-        Each pivot takes the leaving row from ``_leaving_row``, brings in the
-        column ``_dual_ratio_test`` picks and sets the leaving variable at
-        its violated bound, so every reduced cost keeps its sign. No eligible
-        column proves the LP infeasible. The dual objective, ``cost @ x``,
-        never falls; after 3(n+m) pivots without a rise both choices take
-        the lowest index, as ``_iterate`` switches to Bland's rule.
+        Each pivot takes the leaving row from ``_leaving_row``. It passes each
+        breakpoint ``_dual_ratio_test`` returns whose column's flip to its
+        other bound leaves the row violated by more than ``FEAS_TOL``, and
+        asks again; the first it cannot pass enters, the flips move the
+        point, and the leaving variable goes to its violated bound, so every
+        reduced cost keeps its sign. No eligible column proves the LP
+        infeasible. The dual objective, ``cost @ x``, never falls; once it
+        reaches ``objective_limit`` the solve stops (``CUTOFF``). After
+        3(n+m) pivots without a rise both choices take the lowest index and
+        nothing flips, as ``_iterate`` switches to Bland's rule.
         """
         W, b, cost, x, stat, basis = self.W, self.b, self.cost, state.x, state.stat, state.basis
+        lb, ub = state.lb, state.ub
         # basis-side state, updated in place by each pivot (the bounds do not
         # move within one call), and the statuses as a list for the ratio test
         lbb, ubb, cb = state.lb[basis], state.ub[basis], cost[basis]
@@ -392,24 +426,44 @@ class SimplexSolver:
                 return LpStatus.ITERATION_LIMIT
 
             Binv = state.Binv
-            e = _dual_ratio_test(d.tolist(), (Binv[r] @ W).tolist(), stat_l, above, bland)
-            if e < 0:
-                return LpStatus.INFEASIBLE
-
-            col = Binv @ W[:, e]
+            d_l, alpha = d.tolist(), (Binv[r] @ W).tolist()
             k = basis.item(r)
             bound = ubb.item(r) if above else lbb.item(r)
+            rest = x.item(k) - bound if above else bound - x.item(k)    # the violation left
+            flips = []
+            while True:
+                e = _dual_ratio_test(d_l, alpha, stat_l, above, bland)
+                if e < 0:
+                    return LpStatus.INFEASIBLE
+                if bland:
+                    break
+                # an unboxed column's width is infinite: it is never passed
+                passed = abs(alpha[e]) * (ub.item(e) - lb.item(e))
+                if not rest - passed > FEAS_TOL:
+                    break
+                rest -= passed
+                stat_l[e] = _AT_UPPER if stat_l[e] == _AT_LOWER else _AT_LOWER
+                flips.append(e)
+            if flips:
+                new = np.array([ub.item(j) if stat_l[j] == _AT_UPPER else lb.item(j)
+                                for j in flips])
+                delta = new - x[flips]
+                x[flips] = new
+                stat[flips] = [stat_l[j] for j in flips]
+                x[basis] -= Binv @ (W[:, flips] @ delta)
+
+            col = Binv @ W[:, e]
             t = (x.item(k) - bound) / col.item(r)       # the entering variable's move
             x[e] = x.item(e) + t
             x[basis] -= t * col
             stat[k] = stat_l[k] = _AT_UPPER if above else _AT_LOWER
             x[k] = bound
             basis[r] = e
-            lbb[r], ubb[r], cb[r] = state.lb[e], state.ub[e], cost[e]
+            lbb[r], ubb[r], cb[r] = lb[e], ub[e], cost[e]
             stat[e] = stat_l[e] = _BASIC
             # |col[r]| > _PIVOT_TOL: the ratio test skips smaller entries
             prow = Binv[r] / col[r]
-            Binv -= col[:, None] * prow
+            Binv -= np.multiply(col[:, None], prow, out=state.update)
             Binv[r] = prow
             state.pivots += 1
             if (
@@ -419,8 +473,10 @@ class SimplexSolver:
                 self._refactor(state)
 
             state.iters += 1
-            d = cost - (cb @ state.Binv) @ W
             obj = float(cost @ x)
+            if obj >= self.objective_limit:
+                return LpStatus.CUTOFF
+            d = cost - (cb @ state.Binv) @ W
             if obj > prev_obj + 1e-12 * (1.0 + abs(prev_obj)):
                 stall = 0
                 prev_obj = obj
@@ -510,7 +566,7 @@ class SimplexSolver:
                     free.remove(e)
                 # |col[leave_row]| > _PIVOT_TOL: the ratio test skips smaller entries
                 prow = Binv[leave_row] / col[leave_row]
-                Binv -= col[:, None] * prow
+                Binv -= np.multiply(col[:, None], prow, out=state.update)
                 Binv[leave_row] = prow
                 state.pivots += 1
                 # W x = b holds exactly in real arithmetic; refactor on drift

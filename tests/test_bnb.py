@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from branchlab.bnb import (
+    PRUNE_TOL,
     Budget,
     DualTrace,
     PolicyError,
@@ -497,7 +498,9 @@ def test_strong_branching_probes_match_solve_on_general_integers(monkeypatch):
     enumerated optimum of the general-integer instances above, and every
     probed child has the status of the same child solved by ``solve`` (the
     primal repair) from the same parent, and its objective within 1e-9
-    relative."""
+    relative. A child cut off at the incumbent is one ``solve`` proves
+    infeasible or no better than the limit, and its objective is a lower
+    bound on the optimum."""
     from branchlab import bnb
 
     compared = collections.Counter()
@@ -510,6 +513,15 @@ def test_strong_branching_probes_match_solve_on_general_integers(monkeypatch):
                      BoundOverride(j, "lower", math.ceil(xj)))
             for child, ov in zip(pair, split):
                 ref = self.solve(tuple(overrides) + (ov,), warm=parent)
+                if child.status is LpStatus.CUTOFF:
+                    limit = self.objective_limit
+                    assert child.objective >= limit and child.x is None
+                    if ref.status is not LpStatus.INFEASIBLE:
+                        assert ref.status is LpStatus.OPTIMAL
+                        assert ref.objective >= limit - 1e-9 * (1 + abs(limit))
+                        assert child.objective <= ref.objective + 1e-9 * (1 + abs(ref.objective))
+                    compared[child.status] += 1
+                    continue
                 assert child.status is ref.status
                 if child.status is LpStatus.OPTIMAL:
                     assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
@@ -529,3 +541,33 @@ def test_strong_branching_probes_match_solve_on_general_integers(monkeypatch):
         solved += 1
     assert solved >= 15, solved
     assert compared[LpStatus.OPTIMAL] >= 80 and compared[LpStatus.INFEASIBLE] >= 30, compared
+    assert compared[LpStatus.CUTOFF] >= 3, compared
+
+
+def test_engine_drops_cut_off_children(monkeypatch):
+    """The engine keeps its prober's objective limit at the incumbent minus
+    the prune tolerance, queues no child the limit cut off, and strong
+    branching still reaches the enumerated optimum."""
+    from branchlab import bnb
+
+    dropped = collections.Counter()
+    add_child = bnb._Engine._add_child
+
+    def checked_add(self, parent, override, lp):
+        assert self.prober.objective_limit == self.incumbent_value - PRUNE_TOL
+        queued = len(self.heap)
+        add_child(self, parent, override, lp)
+        if lp.status is LpStatus.CUTOFF:
+            assert len(self.heap) == queued
+            dropped[self.inst.name] += 1
+
+    monkeypatch.setattr(bnb._Engine, "_add_child", checked_add)
+    for inst in _general_integer_instances(20, seed=5):
+        expected, _ = brute_force_integer(inst)
+        res = solve(inst, StrongBranchingPolicy(), Budget(max_nodes=100_000), seed=1)
+        if expected is None:
+            assert res.status is SolveStatus.INFEASIBLE, inst.name
+        else:
+            assert res.status is SolveStatus.OPTIMAL, inst.name
+            assert res.incumbent_value == pytest.approx(expected, abs=1e-6), inst.name
+    assert sum(dropped.values()) >= 1, dropped

@@ -601,3 +601,119 @@ def test_degenerate_probe_reaches_the_lowest_index_rule(monkeypatch):
         for ref in (solver.solve((ov,), warm=parent), solver.solve((ov,))):
             assert child.status is ref.status
             assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+
+
+def _flip_lp(rng, k):
+    """A random LP whose probes flip bounds: general-integer boxes of width 0
+    (fixed columns) to 7, some free and some half-bounded columns, tied
+    costs and degenerate rows."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 5))
+    A = np.round(rng.normal(0.5, 2, (m, n)), 2)
+    A[rng.random((m, n)) < 0.25] = 0.0
+    b = np.round(rng.uniform(-1, 8, m), 2)
+    b[rng.random(m) < 0.3] = 0.0
+    c = rng.integers(-4, 2, n).astype(float)
+    lo = rng.integers(-2, 2, n).astype(float)
+    up = lo + rng.integers(0, 8, n)
+    up[rng.random(n) < 0.1] = np.inf
+    free = rng.random(n) < 0.1
+    lo[free], up[free] = -np.inf, np.inf
+    return make_instance(f"flip{k}", c, A, b, lo, up, n)
+
+
+def _exact_fill_knapsack(rng, k):
+    """A knapsack whose LP takes its best items at their upper bounds and the
+    next item f fractional, with f's weight equal to the capacity. The child
+    x_f >= 1 must then empty every better item: its violation equals the sum
+    of the widths it can pass, in real arithmetic, and the last of them
+    enters instead of flipping."""
+    best, rest = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    w_best = np.round(rng.uniform(0.1, 3.0, best), 2)
+    u_best = rng.integers(1, 4, best).astype(float)
+    w_f = round(float(w_best @ u_best) + float(rng.uniform(0.01, 2.0)), 2)
+    w = np.concatenate([w_best, [w_f], np.round(rng.uniform(0.1, 3.0, rest), 2)])
+    u = np.concatenate([u_best, [1.0], rng.integers(1, 4, rest).astype(float)])
+    ratio = np.sort(rng.uniform(1.0, 9.0, len(w)))[::-1]     # value per weight, best first
+    return make_instance(f"fill{k}", -np.round(ratio * w, 3), [w], [w_f],
+                         np.zeros(len(w)), u, len(w))
+
+
+def test_bound_flipping_probes_match_solve_and_enumeration(monkeypatch):
+    """Probes whose dual passes breakpoints by flipping bounds, on random LPs
+    (``_flip_lp``) and on knapsacks whose child's violation equals the sum of
+    the widths it can pass (``_exact_fill_knapsack``): every probed child has
+    the status of the same child solved by ``solve``, its objective within
+    1e-9 relative, and the enumerated optimum where its box is finite. With
+    the objective limit halfway between the parent's objective and a
+    child's, each probed child is the unlimited one bit for bit, or cut off;
+    a cut-off child is one ``solve`` proves infeasible or no better than the
+    limit, and its objective is a lower bound on the child's optimum."""
+    from branchlab import simplex
+
+    flips = []
+    ratio_test = simplex._dual_ratio_test
+
+    def recording(d, alpha, stat, above, bland):
+        # the same pivot row asked again: the column returned last was flipped
+        flips.append(alpha is recording.alpha)
+        recording.alpha = alpha
+        return ratio_test(d, alpha, stat, above, bland)
+
+    recording.alpha = None
+    monkeypatch.setattr(simplex, "_dual_ratio_test", recording)
+    rng = np.random.default_rng(29)
+    counts = collections.Counter()
+    for k in range(600):
+        inst = (_exact_fill_knapsack if k % 3 == 0 else _flip_lp)(rng, k)
+        solver = SimplexSolver(inst)
+        parent = solver.solve()
+        if parent.status is not LpStatus.OPTIMAL:
+            continue
+        n = inst.num_vars
+        frac = [j for j in range(n) if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
+        for j in frac:
+            xj = float(parent.x[j])
+            split = (BoundOverride(j, "upper", math.floor(xj)),
+                     BoundOverride(j, "lower", math.ceil(xj)))
+            del flips[:]
+            pair = solver.probe_children((), parent, j)
+            counts["probes with flips"] += any(flips)
+            for child, ov in zip(pair, split):
+                ref = solver.solve((ov,), warm=parent)
+                assert child.status is ref.status, (inst.name, ov)
+                counts[f"{inst.name[:4]} {child.status.value}"] += 1
+                if child.status is LpStatus.OPTIMAL:
+                    assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+                lo, up = inst.lower.copy(), inst.upper.copy()
+                (up if ov.side == "upper" else lo)[j] = ov.value
+                if np.all(np.isfinite(lo)) and np.all(np.isfinite(up)):
+                    expected = lp_vertex_optimum(inst.objective, inst.dense_matrix(),
+                                                 inst.rhs, lo, up)
+                    counts["enumerated"] += 1
+                    if expected is None:
+                        assert child.status is LpStatus.INFEASIBLE, (inst.name, ov)
+                    else:
+                        assert child.status is LpStatus.OPTIMAL, (inst.name, ov)
+                        assert child.objective == pytest.approx(expected, abs=1e-7)
+            for child in pair:
+                if child.status is not LpStatus.OPTIMAL or child.objective <= parent.objective:
+                    continue
+                limit = (parent.objective + child.objective) / 2
+                solver.objective_limit = limit
+                limited = solver.probe_children((), parent, j)
+                solver.objective_limit = math.inf
+                for got, full, ov in zip(limited, pair, split):
+                    if got.status is not LpStatus.CUTOFF:
+                        assert _solution_bytes(got) == _solution_bytes(full), (inst.name, ov)
+                        continue
+                    counts["cut off"] += 1
+                    assert got.objective >= limit and got.x is None and got.basis == ()
+                    ref = solver.solve((ov,), warm=parent)
+                    if ref.status is not LpStatus.INFEASIBLE:
+                        assert ref.status is LpStatus.OPTIMAL, (inst.name, ov)
+                        assert ref.objective >= limit - 1e-9 * (1 + abs(limit))
+                        assert got.objective <= ref.objective + 1e-9 * (1 + abs(ref.objective))
+    assert counts["probes with flips"] >= 150, counts
+    assert counts["fill optimal"] >= 300 and counts["flip infeasible"] >= 100, counts
+    assert counts["enumerated"] >= 400 and counts["cut off"] >= 600, counts

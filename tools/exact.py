@@ -17,6 +17,10 @@ results are never compared against stored digests. Probes:
   its child, so every warm start has exactly one out-of-bound basic variable;
 - ``lp-probe-children``: on the same LPs, both ``probe_children``
   children (the dual simplex) of every fractional variable of each root;
+- ``lp-probe-cutoff``: the same probes again, once for each of their
+  optimal children, with the solver's ``objective_limit`` halfway between
+  the root's objective and that child's, so the dual stops at the limit
+  (``CUTOFF``) on the way;
 - ``lp-siblings``: children of the same LPs warm-started under their
   sibling's bound, and children that tighten two bounds at once;
 - ``lp-infeasible-start``: random LPs whose slack basis violates rows, and
@@ -146,9 +150,8 @@ def probe_lps(kind: str) -> dict[str, str]:
         return (BoundOverride(j, "upper", math.floor(xj)),
                 BoundOverride(j, "lower", math.ceil(xj)))
 
-    probing = kind == "lp-probe-children"     # lp-children's LPs, its probes alone
-    rng = np.random.default_rng({"lp-children": 31, "lp-probe-children": 31,
-                                 "lp-siblings": 31, "lp-infeasible-start": 37}[kind])
+    probing = kind in ("lp-probe-children", "lp-probe-cutoff")  # lp-children's LPs, probes alone
+    rng = np.random.default_rng(37 if kind == "lp-infeasible-start" else 31)
     items = {}
     for k in range(LP_ROOTS):
         inst = _random_lp(rng, kind != "lp-infeasible-start")
@@ -161,8 +164,19 @@ def probe_lps(kind: str) -> dict[str, str]:
             continue
         if probing:
             for v in frac:
-                for side, sol in zip(("down", "up"), solver.probe_children((), root, v)):
-                    items[f"{k}/probe{v}/{side}"] = _solution_hex(sol)
+                pair = solver.probe_children((), root, v)
+                if kind == "lp-probe-children":
+                    for side, sol in zip(("down", "up"), pair):
+                        items[f"{k}/probe{v}/{side}"] = _solution_hex(sol)
+                    continue
+                for limit_side, child in zip(("down", "up"), pair):
+                    if child.status is not LpStatus.OPTIMAL:
+                        continue
+                    solver.objective_limit = (root.objective + child.objective) / 2
+                    limited = solver.probe_children((), root, v)
+                    solver.objective_limit = math.inf
+                    for side, sol in zip(("down", "up"), limited):
+                        items[f"{k}/probe{v}/{limit_side}-limit/{side}"] = _solution_hex(sol)
         j = frac[int(rng.integers(len(frac)))]
         down, up_ov = split(j, float(root.x[j]))
         children = {side: solver.solve((ov,), warm=root)
@@ -262,6 +276,7 @@ PROBES = {
     "solve-wide": lambda: probe_solves("solve-wide"),
     "lp-children": lambda: probe_lps("lp-children"),
     "lp-probe-children": lambda: probe_lps("lp-probe-children"),
+    "lp-probe-cutoff": lambda: probe_lps("lp-probe-cutoff"),
     "lp-siblings": lambda: probe_lps("lp-siblings"),
     "lp-infeasible-start": lambda: probe_lps("lp-infeasible-start"),
     "gcnn": probe_gcnn,
