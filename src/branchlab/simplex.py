@@ -5,25 +5,35 @@ The solver works on the slack form ``A x + s = b`` with ``l <= x <= u`` and
 Nonbasic variables sit at a finite bound (free variables at 0). Every solve
 starts the same way: from the warm solution's basis, or from the slack basis
 when there is none or it is malformed or singular (``_start``); each
-out-of-bound basic variable is then repaired in turn (``_repair``), and phase
-two runs. A repair drives one variable to its violated bound while those
-still waiting are relaxed to +-inf on their violated side, so the working
-region holds every feasible point and, by convexity, a repair that stops
-short of the bound proves the LP infeasible. A repaired variable keeps its
-true bounds, so each is repaired at most once: a bounded-variable phase 1
-(Maros, Computational Techniques of the Simplex Method, 2003). A
-branch-and-bound child starts with exactly one repair.
+out-of-bound basic variable is then repaired in turn (``_repair``), unless
+the dual simplex below takes the start, and phase two runs. A repair drives
+one variable to its violated bound while those still waiting are relaxed to
++-inf on their violated side, so the working region holds every feasible
+point and, by convexity, a repair that stops short of the bound proves the
+LP infeasible. A repaired variable keeps its true bounds, so each is
+repaired at most once: a bounded-variable phase 1 (Maros, Computational
+Techniques of the Simplex Method, 2003). A branch-and-bound child starts
+with exactly one repair.
 
-The children that ``probe_children`` solves (strong branching's probes)
-take a bounded dual simplex instead (``_dual``; Koberstein, PhD thesis,
-Paderborn 2005): a child warm-started from its parent's optimal basis is
-dual feasible, and dual pivots move its out-of-bound basic variables to
-their bounds, keeping every reduced cost's sign, until the point is
-feasible; ``_phase_two`` then prices once more, refactorizes and audits, as
-after a repair. The dual's choices are deterministic:
+Two kinds of start take a bounded dual simplex instead (``_dual``;
+Koberstein, PhD thesis, Paderborn 2005): the children that
+``probe_children`` solves (strong branching's probes), warm-started from
+their parent's optimal basis, and a cold start (no warm solution) whose
+slack basis is dual feasible, as at the set-cover and item-placement roots
+(costs >= 0, structurals at their lower bounds, covering rows violated).
+Dual pivots move the out-of-bound basic variables to their bounds, keeping
+every reduced cost's sign, until the point is feasible; ``_phase_two`` then
+prices once more, refactorizes and audits, as after a repair. The start's
+reduced costs are computed once, to check its dual feasibility, and handed
+to ``_dual``. The dual's choices are deterministic:
 
-- the leaving row is the largest bound violation beyond ``FEAS_TOL``,
-  ties to the lowest row (``_leaving_row``);
+- the leaving row is chosen by dual steepest edge (Forrest and Goldfarb,
+  Math. Prog. 57, 1992): the violated row (beyond ``FEAS_TOL``) of largest
+  ``violation**2 / |row of Binv|**2``, ties to the lowest row
+  (``_leaving_row``). The solver keeps ``Binv`` explicitly, so the weights
+  are exact and need no update recurrence; they cost one O(m^2) pass over
+  the violated rows, the order of each pivot's rank-1 update. A lone
+  violated row, as at every probe's first pivot, is taken without weights;
 - the entering column is the least ratio of reduced cost to pivot-row
   entry among the columns that move the leaving variable toward its bound
   with ``|pivot| > _PIVOT_TOL``; among ratios within 1e-12 of the least,
@@ -53,18 +63,20 @@ basis: the branch-and-bound engine sets the limit of the solver that probes
 to its incumbent less its prune tolerance, and a child that cannot beat
 the incumbent needs no optimum. The limit is infinite by default.
 
-A start that is not dual feasible within ``_DUAL_TOL`` raises
-``ValueError``; there is no fallback. Every other warm start, a
-branch-and-bound node's own children among them, takes the primal repair:
-the pseudo-clock counts iterations, so a cheaper child buys more nodes
-within a budget set in iterations. With the dual for every child,
+A probe whose start is not dual feasible within ``_DUAL_TOL`` raises
+``ValueError``; there is no fallback. A cold start that is not, and every
+other warm start, a branch-and-bound node's own children among them, takes
+the primal repair: the pseudo-clock counts iterations, so a cheaper child
+buys more nodes within a budget set in iterations. With the dual for every child,
 ``pipeline`` (seed 1) took 48,230 iterations instead of 53,614 and read a
 worse ``gap_integral`` (1.0021 against 0.99155), so node children wait
 until budgets stop rewarding cheaper LPs (ROADMAP item 10). The pipeline's
-policies never probe, so only strong-branching runs see the dual. Its
-probes (seed 1) took 21,511 iterations on ``solve-wide`` with the primal
-repair, 10,073 with the textbook dual and 8,067 with bound flipping and the
-limit; on ``solve-small`` 16,982, 11,225 and 3,871.
+policies never probe and its knapsack roots are primal feasible at the
+slack basis, so it never sees the dual. Strong branching's probes (seed 1)
+took 21,511 iterations on ``solve-wide`` with the primal repair, 10,073
+with the textbook dual, 8,067 with bound flipping and the limit and 6,141
+with steepest edge; on ``solve-small`` 16,982, 11,225, 3,871 and 3,849.
+The dual took ``solve-wide``'s roots from 639 iterations to 317.
 
 A warm start factorizes its basis with one ``np.linalg.inv`` of
 ``W[:, basis]``. The solver keeps the last such inverse with its basis and
@@ -91,9 +103,9 @@ branch-and-bound numpy's cost per call, not its arithmetic, sets the time:
   bounds, as lists) and ``cost[basis]`` (an array, for the duals) are taken
   once per call of ``_iterate`` and updated in place by each pivot, as the
   bounds do not move within a call;
-- the dual mirrors this: it prices its leaving row with one ``argmax`` of
-  the bound violations (``_leaving_row``), and scans the columns for its
-  entering one on plain Python floats (``_dual_ratio_test``).
+- the dual mirrors this: it prices its leaving row with a few whole-array
+  operations on the violated rows (``_leaving_row``), and scans the columns
+  for its entering one on plain Python floats (``_dual_ratio_test``).
 
 Exactness contract: every pivot, iteration count and returned field is the
 same, bit for bit, as with whole-array code that gathers everything afresh
@@ -102,7 +114,7 @@ eligible score equals ``|d|`` exactly, any other is at most ``_DUAL_TOL``,
 and ``argmax`` keeps the first of equal scores. Everything else makes the
 same floating-point operations on the same values, and Python floats follow
 the same IEEE arithmetic as numpy's float64. ``tests/oracles.py`` keeps the
-earlier pricing rule and ratio test as references.
+earlier pricing rule, ratio test and leaving row as references.
 """
 
 from __future__ import annotations
@@ -202,7 +214,12 @@ class _State:
 
 
 class SimplexSolver:
-    """Reusable solver context for one instance; caches the dense matrix."""
+    """Reusable solver context for one instance; caches the dense matrix.
+
+    ``dual_probes`` decides only how ``probe_children`` solves its warm
+    children: by the dual simplex, else by the primal repair. A cold solve
+    takes the dual whenever its start is dual feasible, either way.
+    """
 
     def __init__(self, inst: MilpInstance, dual_probes: bool = True):
         self.inst = inst
@@ -249,8 +266,16 @@ class SimplexSolver:
             return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), 0)
 
         state = self._start(lb, ub, warm)
-        if self._probing:
-            status = self._dual(state, iter_limit)
+        d = None        # the start's reduced costs, when the dual takes it
+        if self._probing or warm is None:
+            stat = state.stat
+            d = self.cost - (self.cost[state.basis] @ state.Binv) @ self.W
+            if _price(d, stat, (stat == _FREE).nonzero()[0].tolist(), False)[0] >= 0:
+                if self._probing:
+                    raise ValueError("warm start is not dual feasible")
+                d = None
+        if d is not None:
+            status = self._dual(state, iter_limit, d)
         else:
             status = self._repair(state, iter_limit)
         if status is LpStatus.CUTOFF:
@@ -390,9 +415,10 @@ class SimplexSolver:
             self._set_basic_values(state)
         return LpStatus.OPTIMAL
 
-    def _dual(self, state, iter_limit) -> LpStatus:
-        """Run dual pivots from a dual feasible start until the point is
-        primal feasible (``_phase_two`` then finishes the solve).
+    def _dual(self, state, iter_limit, d) -> LpStatus:
+        """Run dual pivots from a dual feasible start, whose reduced costs
+        are ``d``, until the point is primal feasible (``_phase_two`` then
+        finishes the solve).
 
         Each pivot takes the leaving row from ``_leaving_row``. It passes each
         breakpoint ``_dual_ratio_test`` returns whose column's flip to its
@@ -411,15 +437,12 @@ class SimplexSolver:
         # move within one call), and the statuses as a list for the ratio test
         lbb, ubb, cb = state.lb[basis], state.ub[basis], cost[basis]
         stat_l = stat.tolist()
-        d = cost - (cb @ state.Binv) @ W
-        if _price(d, stat, (stat == _FREE).nonzero()[0].tolist(), False)[0] >= 0:
-            raise ValueError("warm start is not dual feasible")
         bland = False
         stall = 0
         stall_limit = 3 * (self.n + self.m)
         prev_obj = float(cost @ x)
         while True:
-            r, above = _leaving_row(basis, x[basis], lbb, ubb, bland)
+            r, above = _leaving_row(basis, x[basis], lbb, ubb, state.Binv, bland)
             if r < 0:
                 return LpStatus.OPTIMAL
             if state.iters >= iter_limit:
@@ -715,27 +738,30 @@ def _ratio_test(basis, xb, lbb, ubb, step, own, bland) -> tuple[float, int]:
     return t_best, leave_row
 
 
-def _leaving_row(basis, xb, lbb, ubb, bland) -> tuple[int, bool]:
+def _leaving_row(basis, xb, lbb, ubb, Binv, bland) -> tuple[int, bool]:
     """The leaving row of one dual pivot, and whether its basic variable lies
     above its upper bound (else below its lower bound).
 
     Row i's basic variable ``basis[i]`` has value ``xb[i]`` and bounds
-    ``lbb[i]``, ``ubb[i]`` (all arrays). The row whose value lies furthest
-    outside its bounds, by more than ``FEAS_TOL``, wins: ``argmax`` keeps the
-    lowest of equal rows. Bland's rule takes the violated row of lowest
-    variable index. Returns ``(-1, False)`` when every row is within its
-    bounds (or a NaN value stops ``argmax``, which the audit then rejects).
+    ``lbb[i]``, ``ubb[i]`` (all arrays); ``Binv`` is the basis inverse. A
+    row is violated when its value lies outside its bounds by more than
+    ``FEAS_TOL``. Dual steepest edge takes the violated row of largest
+    ``violation**2 / |Binv[i]|**2``, ties to the lowest row; a lone
+    violated row is taken without its weight. Bland's rule takes the
+    violated row of lowest variable index. Returns ``(-1, False)`` when no
+    row is violated; a NaN value never is, and the audit rejects it.
     """
     violation = np.maximum(xb - ubb, lbb - xb)
+    rows = (violation > FEAS_TOL).nonzero()[0]
+    if not len(rows):
+        return -1, False
     if bland:
-        rows = np.flatnonzero(violation > FEAS_TOL)
-        if not len(rows):
-            return -1, False
-        r = int(rows[basis[rows].argmin()])
+        r = rows.item(basis[rows].argmin())
+    elif len(rows) == 1:
+        r = rows.item(0)
     else:
-        r = int(violation.argmax())
-        if not violation.item(r) > FEAS_TOL:
-            return -1, False
+        v, rinv = violation[rows], Binv[rows]
+        r = rows.item((v * v / (rinv * rinv).sum(axis=1)).argmax())
     return r, xb.item(r) > ubb.item(r)
 
 

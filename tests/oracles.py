@@ -4,6 +4,7 @@ These deliberately avoid the library's own solver paths: LP optima come from
 dense vertex enumeration, MILP optima from exhaustive enumeration of binary
 assignments or of small integer boxes, the simplex ratio test from a plain
 numpy-scalar loop, simplex pricing from the boolean-mask rule it replaced,
+the dual simplex's leaving row from the largest-violation rule it replaced,
 the GCNN's half-convolutions from their edge-level form, the GCNN's stacked
 pieces from slices of one stack of every state, and statistical claims from
 an exact binomial tail.
@@ -20,7 +21,7 @@ import numpy as np
 
 from branchlab.gnn import _CHUNK, GraphBatch, segment_sum
 from branchlab.observation import CONS_FEATURES, BipartiteObservation
-from branchlab.simplex import _AT_LOWER, _AT_UPPER, _FREE
+from branchlab.simplex import _AT_LOWER, _AT_UPPER, _FREE, FEAS_TOL
 
 
 def lp_vertex_optimum(c, A, b, l, u, tol=1e-9):
@@ -120,6 +121,30 @@ def pricing_reference(d, stat, bland, dual_tol):
         e = int(eligible[np.argmax(np.abs(d[eligible]))])
     direction = 1.0 if can_inc[e] else -1.0
     return e, direction
+
+
+def leaving_row_reference(basis, xb, lbb, ubb, Binv, bland):
+    """The dual simplex's leaving row by largest bound violation: the
+    solver's rule before dual steepest edge, kept as a reference with
+    ``_leaving_row``'s arguments (``Binv`` is not read).
+
+    The row whose value lies furthest outside its bounds, by more than
+    ``FEAS_TOL``, wins, the lowest of equal rows; Bland's rule takes the
+    violated row of lowest variable index. Returns ``(r, above)``, or
+    ``(-1, False)`` when every row is within its bounds or a NaN value
+    stops ``argmax``.
+    """
+    violation = np.maximum(xb - ubb, lbb - xb)
+    if bland:
+        rows = np.flatnonzero(violation > FEAS_TOL)
+        if not len(rows):
+            return -1, False
+        r = int(rows[basis[rows].argmin()])
+    else:
+        r = int(violation.argmax())
+        if not violation.item(r) > FEAS_TOL:
+            return -1, False
+    return r, xb.item(r) > ubb.item(r)
 
 
 def brute_force_binary(inst, tol=1e-9):

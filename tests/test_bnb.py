@@ -406,9 +406,9 @@ def test_only_probed_children_take_the_dual(monkeypatch):
     duals = []
     dual = simplex.SimplexSolver._dual
 
-    def counting(self, state, iter_limit):
+    def counting(self, state, iter_limit, d):
         duals.append(self.dual_probes)
-        return dual(self, state, iter_limit)
+        return dual(self, state, iter_limit, d)
 
     monkeypatch.setattr(simplex.SimplexSolver, "_dual", counting)
     inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))

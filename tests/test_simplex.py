@@ -25,7 +25,12 @@ from branchlab.simplex import (
 )
 
 from .conftest import make_instance
-from .oracles import lp_vertex_optimum, pricing_reference, ratio_test_reference
+from .oracles import (
+    leaving_row_reference,
+    lp_vertex_optimum,
+    pricing_reference,
+    ratio_test_reference,
+)
 
 
 def test_box_lp():
@@ -515,23 +520,40 @@ def test_shared_warm_factorization_is_bit_identical():
 
 
 def test_dual_tie_rules():
-    """The leaving row is the largest violation beyond FEAS_TOL, ties to the
-    lowest row; the entering column the largest |alpha| among ratios within
-    1e-12 of the least, ties to the lowest index, and |alpha| must exceed
-    the pivot tolerance. Bland's rule takes the lowest variable index for
-    both."""
+    """The leaving row is the violated row (beyond FEAS_TOL) of largest
+    violation**2 / |row of Binv|**2, ties to the lowest row, and a lone
+    violated row is taken without its weight; the entering column the
+    largest |alpha| among ratios within 1e-12 of the least, ties to the
+    lowest index, and |alpha| must exceed the pivot tolerance. Bland's rule
+    takes the lowest variable index for both."""
     inf = math.inf
     basis = np.array([7, 5, 9, 4])
     lbb, ubb = np.array([0.0, 0.0, -inf, 0.0]), np.array([1.0, inf, 2.0, 1.0])
 
-    def leaving(xb, bland=False):
-        return _leaving_row(basis, np.array(xb), lbb, ubb, bland)
+    def leaving(xb, bland=False, Binv=np.eye(4)):
+        return _leaving_row(basis, np.array(xb), lbb, ubb, Binv, bland)
 
+    # with unit weights the largest violation wins
     assert leaving([1.5, -0.5, 2.5, 0.5]) == (0, True)
     assert leaving([1.5, -0.5, 2.5, 0.5], bland=True) == (1, False)
     assert leaving([1.0 + 5e-8, -5e-8, 2.0, 1.0]) == (-1, False)
     assert leaving([0.5, -0.75, 2.75, -0.75]) == (1, False)
     assert leaving([0.5, 0.5, 2.5, -2.0], bland=True) == (3, False)
+    # row 1's weight is 4: 0.75**2 / 4 < 0.5**2 / 1, so the smaller violation wins
+    heavy = np.eye(4)
+    heavy[1] = [1.0, 1.0, -1.0, 1.0]
+    assert leaving([1.5, -0.75, 2.0, 0.5], Binv=heavy) == (0, True)
+    assert leaving([1.5, -1.25, 2.0, 0.5], Binv=heavy) == (1, False)      # 0.390625 > 0.25
+    # weighted scores tie at 0.25: 1.0**2 / 4 in row 0 and 0.5**2 / 1 in row 3
+    wide = 2.0 * np.eye(4)
+    wide[3, 3] = 1.0
+    assert leaving([2.0, 0.5, 2.0, -0.5], Binv=wide) == (0, True)
+    assert leaving([0.5, 0.5, 3.0, -0.5], Binv=wide) == (2, True)     # 1/4 in rows 2 and 3
+    # a lone violated row is taken without its weight, even a NaN one
+    assert leaving([0.5, 0.5, 2.0, -0.5], Binv=np.full((4, 4), np.nan)) == (3, False)
+    # a NaN value is never violated
+    assert leaving([np.nan, 0.5, 2.0, 0.5]) == (-1, False)
+    assert leaving([np.nan, -0.5, 2.0, 0.5]) == (1, False)
 
     L, U, B, F = _AT_LOWER, _AT_UPPER, _BASIC, _FREE
     stat = [L, U, B, L, F, L]
@@ -569,11 +591,14 @@ def test_probe_from_a_start_that_is_not_dual_feasible_raises(knapsack):
 
 def test_degenerate_probe_reaches_the_lowest_index_rule(monkeypatch):
     """A dual-degenerate child (every cost but one is 0) on which the
-    largest-|alpha| rule cycles through the same 12 entering columns: after
-    3(n+m) pivots without a rise in the dual objective the lowest-index rule
-    takes over, and the probe proves the child infeasible, as ``solve`` does
-    from the same start and cold; the sibling probe agrees with ``solve``
-    as well."""
+    largest-|alpha| entering rule, with the largest-violation leaving row
+    (``leaving_row_reference``, the rule before dual steepest edge), cycles
+    through the same 12 entering columns: after 3(n+m) pivots without a rise
+    in the dual objective the lowest-index rule takes over, and the probe
+    proves the child infeasible, as ``solve`` does from the same start and
+    cold; the sibling probe agrees with ``solve`` as well. Dual steepest edge
+    does not cycle on it: its probes finish without the lowest-index rule and
+    agree with ``solve`` too."""
     from branchlab import simplex
 
     A = [[-3, -3, -3, 1, -1, 2, -3, 3, 1], [-1, 1, 3, 2, -1, -2, 3, -1, 0],
@@ -592,15 +617,24 @@ def test_degenerate_probe_reaches_the_lowest_index_rule(monkeypatch):
         rules.append(bland)
         return ratio_test(d, alpha, stat, above, bland)
 
+    def agree_with_solve(down, up):
+        for child, ov in ((down, BoundOverride(6, "upper", 0.0)),
+                          (up, BoundOverride(6, "lower", 1.0))):
+            for ref in (solver.solve((ov,), warm=parent), solver.solve((ov,))):
+                assert child.status is ref.status
+                assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+
     monkeypatch.setattr(simplex, "_dual_ratio_test", recording)
+    agree_with_solve(*solver.probe_children((), parent, 6))
+    assert rules and not any(rules)
+
+    del rules[:]
+    monkeypatch.setattr(simplex, "_leaving_row", leaving_row_reference)
     down, up = solver.probe_children((), parent, 6)
     assert any(rules) and not rules[0]
     assert rules.index(True) > 3 * (inst.num_vars + inst.num_cons)
     assert up.status is LpStatus.INFEASIBLE
-    for child, ov in ((down, BoundOverride(6, "upper", 0.0)), (up, BoundOverride(6, "lower", 1.0))):
-        for ref in (solver.solve((ov,), warm=parent), solver.solve((ov,))):
-            assert child.status is ref.status
-            assert child.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+    agree_with_solve(down, up)
 
 
 def _flip_lp(rng, k):
@@ -639,6 +673,24 @@ def _exact_fill_knapsack(rng, k):
                          np.zeros(len(w)), u, len(w))
 
 
+def _record_flips(monkeypatch):
+    """Record, per call of the dual ratio test, whether it was asked again
+    for the same pivot row: then the column it returned last was flipped."""
+    from branchlab import simplex
+
+    flips = []
+    ratio_test = simplex._dual_ratio_test
+
+    def recording(d, alpha, stat, above, bland):
+        flips.append(alpha is recording.alpha)
+        recording.alpha = alpha
+        return ratio_test(d, alpha, stat, above, bland)
+
+    recording.alpha = None
+    monkeypatch.setattr(simplex, "_dual_ratio_test", recording)
+    return flips
+
+
 def test_bound_flipping_probes_match_solve_and_enumeration(monkeypatch):
     """Probes whose dual passes breakpoints by flipping bounds, on random LPs
     (``_flip_lp``) and on knapsacks whose child's violation equals the sum of
@@ -649,19 +701,7 @@ def test_bound_flipping_probes_match_solve_and_enumeration(monkeypatch):
     child's, each probed child is the unlimited one bit for bit, or cut off;
     a cut-off child is one ``solve`` proves infeasible or no better than the
     limit, and its objective is a lower bound on the child's optimum."""
-    from branchlab import simplex
-
-    flips = []
-    ratio_test = simplex._dual_ratio_test
-
-    def recording(d, alpha, stat, above, bland):
-        # the same pivot row asked again: the column returned last was flipped
-        flips.append(alpha is recording.alpha)
-        recording.alpha = alpha
-        return ratio_test(d, alpha, stat, above, bland)
-
-    recording.alpha = None
-    monkeypatch.setattr(simplex, "_dual_ratio_test", recording)
+    flips = _record_flips(monkeypatch)
     rng = np.random.default_rng(29)
     counts = collections.Counter()
     for k in range(600):
@@ -717,3 +757,134 @@ def test_bound_flipping_probes_match_solve_and_enumeration(monkeypatch):
     assert counts["probes with flips"] >= 150, counts
     assert counts["fill optimal"] >= 300 and counts["flip infeasible"] >= 100, counts
     assert counts["enumerated"] >= 400 and counts["cut off"] >= 600, counts
+
+
+def test_flipping_probes_need_no_drift_refactorization(monkeypatch):
+    """A dual pivot that flips bounds moves the basic values by the flips'
+    columns as well, so ``W x = b`` holds to rounding and the drift check
+    never refactorizes: each probed child's refactorizations are the
+    scheduled ones (every ``_REFACTOR_EVERY`` pivots) and, for an optimal
+    child, phase two's one."""
+    from branchlab import simplex
+
+    states, refactors = [], collections.Counter()
+    start, refactor = SimplexSolver._start, SimplexSolver._refactor
+
+    def recording_start(self, lb, ub, warm):
+        states.append(start(self, lb, ub, warm))
+        return states[-1]
+
+    def counting_refactor(self, state):
+        refactors[id(state)] += 1
+        refactor(self, state)
+
+    monkeypatch.setattr(SimplexSolver, "_start", recording_start)
+    monkeypatch.setattr(SimplexSolver, "_refactor", counting_refactor)
+    flipped = _record_flips(monkeypatch)
+    rng = np.random.default_rng(31)
+    counts = collections.Counter()
+    for k in range(1000):
+        inst = _flip_lp(rng, k)
+        solver = SimplexSolver(inst)
+        parent = solver.solve()
+        if parent.status is not LpStatus.OPTIMAL:
+            continue
+        for j in range(inst.num_vars):
+            if abs(parent.x[j] - round(parent.x[j])) <= 1e-6:
+                continue
+            del states[:], flipped[:]
+            refactors.clear()
+            pair = solver.probe_children((), parent, j)
+            if not any(flipped):
+                continue
+            counts["probes with flips"] += 1
+            for state, child in zip(states, pair):
+                expected = state.pivots // simplex._REFACTOR_EVERY
+                expected += child.status is LpStatus.OPTIMAL
+                assert refactors[id(state)] == expected, (inst.name, j, child.status)
+                counts[child.status] += 1
+    assert counts["probes with flips"] >= 80, counts
+    assert counts[LpStatus.OPTIMAL] >= 80 and counts[LpStatus.INFEASIBLE] >= 40, counts
+
+
+def _violated_start_lp(rng, k):
+    """A random LP with finite boxes whose slack basis violates at least one
+    row (the structurals start at their lower bounds). A third have costs
+    >= 0, so the start is dual feasible; a third have some cost below 0;
+    a third have a row no point of the box meets, so they are infeasible."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 6))
+    A = np.round(rng.normal(0.0, 2, (m, n)), 2)
+    A[rng.random((m, n)) < 0.25] = 0.0
+    lo = rng.integers(-2, 2, n).astype(float)
+    up = lo + rng.integers(1, 6, n)
+    slack = np.round(rng.uniform(-0.5, 4, m), 2)
+    slack[rng.random(m) < 0.3] = 0.0
+    slack[0] = -round(float(rng.uniform(0.1, 1.5)), 2)     # row 0 violated
+    if k % 3 == 2:      # row 0 even at its least over the box stays above b
+        A[0] = np.round(rng.uniform(0.1, 2, n), 2)
+        slack[0] = -round(float(A[0] @ (up - lo)) + float(rng.uniform(0.1, 2)), 2)
+    b = A @ lo + slack
+    c = rng.integers(0 if k % 3 == 0 else -3, 3, n).astype(float)
+    if k % 3 == 1:
+        c[int(rng.integers(n))] = -1.0
+    return make_instance(f"cold{k}", c, A, b, lo, up, n), (c >= 0).all()
+
+
+def test_cold_starts_take_the_dual_when_dual_feasible(monkeypatch):
+    """A cold solve whose slack basis violates rows takes the dual simplex
+    when that start is dual feasible and the primal repair otherwise, on
+    random LPs of both kinds and infeasible ones: every root matches vertex
+    enumeration in status and in objective within 1e-9 relative, and so do
+    its children, warm-started from it by ``solve`` (the repair) and by
+    ``probe_children`` (the dual)."""
+    paths = []
+    for name in ("_dual", "_repair"):
+        method = getattr(SimplexSolver, name)
+
+        def recording(self, *args, _name=name, _method=method):
+            paths.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SimplexSolver, name, recording)
+
+    def matches(sol, expected):
+        if expected is None:
+            return sol.status is LpStatus.INFEASIBLE
+        return (sol.status is LpStatus.OPTIMAL
+                and sol.objective == pytest.approx(expected, rel=1e-9, abs=1e-9))
+
+    rng = np.random.default_rng(43)
+    counts = collections.Counter()
+    for k in range(400):
+        inst, dual_feasible = _violated_start_lp(rng, k)
+        c, A, b = inst.objective, inst.dense_matrix(), inst.rhs
+        assert (A @ inst.lower > b + 1e-7).any()
+        solver = SimplexSolver(inst)
+        del paths[:]
+        root = solver.solve()
+        assert paths == ["_dual" if dual_feasible else "_repair"], inst.name
+        expected = lp_vertex_optimum(c, A, b, inst.lower, inst.upper)
+        assert matches(root, expected), (inst.name, root.status, expected)
+        counts[(bool(dual_feasible), root.status)] += 1
+        if root.status is not LpStatus.OPTIMAL:
+            continue
+        for j in range(inst.num_vars):
+            xj = float(root.x[j])
+            if abs(xj - round(xj)) <= 1e-6:
+                continue
+            split = (BoundOverride(j, "upper", math.floor(xj)),
+                     BoundOverride(j, "lower", math.ceil(xj)))
+            probed = solver.probe_children((), root, j)
+            for ov, child in zip(split, probed):
+                lo, up = inst.lower.copy(), inst.upper.copy()
+                (up if ov.side == "upper" else lo)[j] = ov.value
+                expected = lp_vertex_optimum(c, A, b, lo, up)
+                for sol in (solver.solve((ov,), warm=root), child):
+                    assert matches(sol, expected), (inst.name, ov, sol.status, expected)
+                counts["children"] += 1
+    assert counts[(True, LpStatus.OPTIMAL)] >= 60, counts
+    assert counts[(False, LpStatus.OPTIMAL)] >= 50, counts
+    assert counts[(True, LpStatus.INFEASIBLE)] >= 40, counts
+    assert counts[(False, LpStatus.INFEASIBLE)] >= 40, counts
+    assert counts["children"] >= 200, counts

@@ -25,6 +25,9 @@ results are never compared against stored digests. Probes:
   sibling's bound, and children that tighten two bounds at once;
 - ``lp-infeasible-start``: random LPs whose slack basis violates rows, and
   their children;
+- ``lp-cold-dual``: set-cover-like random LPs (costs >= 0, covering rows
+  violated at the slack basis, so a cold start takes the dual simplex),
+  each with its children and grandchildren as in ``lp-children``;
 - ``gcnn``: on one seeded batch of 75 graphs of mixed sizes (three network
   pieces, the last one short, with graphs without constraints at 31 and 32,
   the last of one piece and the first of the next), the hex of every logit,
@@ -107,12 +110,34 @@ def _solution_hex(sol) -> str:
                        hexes(sol.reduced_costs), sorted(sol.at_upper)])
 
 
+def _lp(name, c, A, b, lo, up):
+    from branchlab.instances import MilpInstance
+
+    rows, cols = np.nonzero(A)
+    return MilpInstance(
+        name=name, num_vars=len(c), num_cons=len(b), num_int=len(c), objective=c,
+        row_idx=rows.astype(np.int64), col_idx=cols.astype(np.int64), coef=A[rows, cols],
+        rhs=b, lower=lo, upper=up,
+    )
+
+
+def _cover_lp(rng):
+    """A set-cover-like random LP: tied costs >= 0, boxes [0, 1..3], and
+    rows ``-a @ x <= -r`` with ``a >= 0`` and ``r > 0``, each violated at the
+    slack basis, which is dual feasible."""
+    n = int(rng.integers(2, 8))
+    m = int(rng.integers(1, 8))
+    A = -np.round(rng.uniform(0.5, 2, (m, n)), 2) * (rng.random((m, n)) < 0.6)
+    A[np.arange(m), rng.integers(0, n, m)] = -1.0      # every row can be covered
+    b = -rng.integers(1, 4, m).astype(float)
+    c = rng.integers(0, 4, n).astype(float)
+    return _lp("cover", c, A, b, np.zeros(n), rng.integers(1, 4, n).astype(float))
+
+
 def _random_lp(rng, feasible_start: bool):
     """A random LP with degenerate rows, tied costs, general-integer boxes and
     infinite bounds on either side. With ``feasible_start`` every row's slack
     is >= 0 with the structurals at their starting bounds."""
-    from branchlab.instances import MilpInstance
-
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 7))
     A = np.round(rng.normal(0.5, 2, (m, n)), 2)
@@ -130,12 +155,7 @@ def _random_lp(rng, feasible_start: bool):
     else:
         b = np.round(rng.uniform(-6, 4, m), 2)
         b[rng.random(m) < 0.2] = 0.0
-    rows, cols = np.nonzero(A)
-    return MilpInstance(
-        name="lp", num_vars=n, num_cons=m, num_int=n, objective=c,
-        row_idx=rows.astype(np.int64), col_idx=cols.astype(np.int64), coef=A[rows, cols],
-        rhs=b, lower=lo, upper=up,
-    )
+    return _lp("lp", c, A, b, lo, up)
 
 
 def probe_lps(kind: str) -> dict[str, str]:
@@ -151,10 +171,13 @@ def probe_lps(kind: str) -> dict[str, str]:
                 BoundOverride(j, "lower", math.ceil(xj)))
 
     probing = kind in ("lp-probe-children", "lp-probe-cutoff")  # lp-children's LPs, probes alone
-    rng = np.random.default_rng(37 if kind == "lp-infeasible-start" else 31)
+    rng = np.random.default_rng({"lp-infeasible-start": 37, "lp-cold-dual": 43}.get(kind, 31))
     items = {}
     for k in range(LP_ROOTS):
-        inst = _random_lp(rng, kind != "lp-infeasible-start")
+        if kind == "lp-cold-dual":
+            inst = _cover_lp(rng)
+        else:
+            inst = _random_lp(rng, kind != "lp-infeasible-start")
         n, solver = inst.num_vars, SimplexSolver(inst)
         root = solver.solve()
         if kind != "lp-siblings":
@@ -279,6 +302,7 @@ PROBES = {
     "lp-probe-cutoff": lambda: probe_lps("lp-probe-cutoff"),
     "lp-siblings": lambda: probe_lps("lp-siblings"),
     "lp-infeasible-start": lambda: probe_lps("lp-infeasible-start"),
+    "lp-cold-dual": lambda: probe_lps("lp-cold-dual"),
     "gcnn": probe_gcnn,
     "run-root": probe_run_root,
 }
