@@ -10,15 +10,17 @@ A node's two children are one pair of LPs for the variable it branches on:
 the pair the policy already probed (strong branching probes every candidate)
 or else a fresh pair. So each child LP is solved, counted on the clock,
 checked against its parent and folded into the pseudocosts once. A probe
-solves its pair with the dual simplex, a fresh pair with the primal repair
-(``SimplexSolver.probe_children`` of the engine's two solvers): a cheaper
+solves its pair with the dual simplex (``SimplexSolver.probe_children``), a
+fresh pair with the primal repair (``SimplexSolver.solve``): a cheaper
 child would buy more nodes within a pseudo-clock budget, so the node
 children of the policies that do not probe keep the pivots their budgets
 were set with.
 
 Whenever the incumbent improves, the engine sets the objective limit of
-the solver that probes (``SimplexSolver.objective_limit``) to the incumbent
-less ``PRUNE_TOL``, the margin by which a child or a queued node is pruned.
+its solver (``SimplexSolver.objective_limit``) to the incumbent less
+``PRUNE_TOL``, the margin by which a child or a queued node is pruned. Only
+the dual reads the limit, and no node solve runs it: the root is solved
+before any incumbent exists, and node children and dives start warm.
 A probe whose dual objective reaches the limit stops there
 (``LpStatus.CUTOFF``): the engine drops such a child as it drops an
 infeasible one, leaves it out of the pseudocosts, as every child that is
@@ -267,8 +269,7 @@ class _Engine:
         self.policy = policy
         self.budget = budget
         self.record_episode = record_episode
-        self.solver = SimplexSolver(inst, dual_probes=False)    # node LPs
-        self.prober = SimplexSolver(inst)       # the children a policy probes
+        self.solver = SimplexSolver(inst)
         self.pc = PseudocostStore(inst.num_vars)
         self.rng = np.random.default_rng([seed, stable_key(inst.name)])
         self.iterations = 0
@@ -301,15 +302,17 @@ class _Engine:
     def probe(self, node: BnbNode, j: int) -> tuple[LpSolution, LpSolution]:
         """The (down, up) children of branching on j, solved by the dual
         simplex from the node's LP."""
-        return self._children(node, j, self.prober)
+        return self._account(node, j, self.solver.probe_children(node.overrides, node.lp, j))
 
-    def _children(self, node: BnbNode, j: int, solver) -> tuple[LpSolution, LpSolution]:
-        """The (down, up) children of branching on j, solved warm from the
-        node's LP by ``solver.probe_children``. Each is counted on the clock,
-        and each optimal child is checked against the parent (a tightened
-        child cannot beat it beyond ``FEAS_TOL``) and folded into the
-        pseudocosts; this is the only place any of these happens."""
-        down, up = solver.probe_children(node.overrides, node.lp, j)
+    def _account(
+        self, node: BnbNode, j: int, pair: tuple[LpSolution, LpSolution],
+    ) -> tuple[LpSolution, LpSolution]:
+        """Account for the (down, up) children of branching on j, solved warm
+        from the node's LP. Each is counted on the clock, and each optimal
+        child is checked against the parent (a tightened child cannot beat
+        it beyond ``FEAS_TOL``) and folded into the pseudocosts; this is the
+        only place any of these happens."""
+        down, up = pair
         self.iterations += down.iterations + up.iterations
         parent_obj = node.lp.objective
         xj = float(node.lp.x[j])
@@ -350,10 +353,10 @@ class _Engine:
         if value < self.incumbent_value - 1e-12:
             self.incumbent = x
             self.incumbent_value = value
-            self.prober.objective_limit = value - PRUNE_TOL
+            self.solver.objective_limit = value - PRUNE_TOL
 
     def _add_child(self, parent: BnbNode, override: BoundOverride, lp: LpSolution) -> None:
-        """Queue one probed child unless it is infeasible, cut off, integral
+        """Queue one child unless it is infeasible, cut off, integral
         or pruned. A child LP may come back a little below its parent's (within
         ``FEAS_TOL``); the child's bound, which keys the heap and so the
         dual-bound trace, is then the parent's, so the trace never decreases."""
@@ -455,9 +458,14 @@ class _Engine:
             self.decisions.append(Transition(obs=ctx.observation, cand=node.candidate_set,
                                              action=action, reward=0.0, clock=decision_clock))
         xj = float(node.lp.x[action])
-        down, up = ctx.probed.get(action) or self._children(node, action, self.solver)
-        self._add_child(node, BoundOverride(action, "upper", math.floor(xj)), down)
-        self._add_child(node, BoundOverride(action, "lower", math.ceil(xj)), up)
+        split = (BoundOverride(action, "upper", math.floor(xj)),
+                 BoundOverride(action, "lower", math.ceil(xj)))
+        pair = ctx.probed.get(action)
+        if pair is None:
+            pair = self._account(node, action, tuple(
+                self.solver.solve(node.overrides + (ov,), warm=node.lp) for ov in split))
+        for ov, lp in zip(split, pair):
+            self._add_child(node, ov, lp)
 
     def _finish(self, status: SolveStatus) -> SolveResult:
         end_clock = self.clock()

@@ -16,16 +16,16 @@ Techniques of the Simplex Method, 2003). A branch-and-bound child starts
 with exactly one repair.
 
 Two kinds of start take a bounded dual simplex instead (``_dual``;
-Koberstein, PhD thesis, Paderborn 2005): the children that
-``probe_children`` solves (strong branching's probes), warm-started from
-their parent's optimal basis, and a cold start (no warm solution) whose
-slack basis is dual feasible, as at the set-cover and item-placement roots
-(costs >= 0, structurals at their lower bounds, covering rows violated).
-Dual pivots move the out-of-bound basic variables to their bounds, keeping
-every reduced cost's sign, until the point is feasible; ``_phase_two`` then
-prices once more, refactorizes and audits, as after a repair. The start's
-reduced costs are computed once, to check its dual feasibility, and handed
-to ``_dual``. The dual's choices are deterministic:
+Koberstein, PhD thesis, Paderborn 2005): a solve called with ``dual=True``,
+as ``probe_children`` calls it for strong branching's probes, warm-started
+from their parent's optimal basis; and a cold start (no warm solution)
+whose slack basis is dual feasible, as at the set-cover and item-placement
+roots (costs >= 0, structurals at their lower bounds, covering rows
+violated). Dual pivots move the out-of-bound basic variables to their
+bounds, keeping every reduced cost's sign, until the point is feasible;
+``_phase_two`` then prices once more, refactorizes and audits, as after a
+repair. The start's reduced costs are computed once, to check its dual
+feasibility, and handed to ``_dual``. The dual's choices are deterministic:
 
 - the leaving row is chosen by dual steepest edge (Forrest and Goldfarb,
   Math. Prog. 57, 1992): the violated row (beyond ``FEAS_TOL``) of largest
@@ -59,24 +59,23 @@ The dual objective ``cost @ x`` of a dual feasible basis bounds the child's
 optimum from below, up to the dual tolerance ``_DUAL_TOL`` on the reduced
 costs. So once a pivot takes it to ``objective_limit`` or above, the solve
 stops with ``LpStatus.CUTOFF`` and that objective, without a point or a
-basis: the branch-and-bound engine sets the limit of the solver that probes
-to its incumbent less its prune tolerance, and a child that cannot beat
-the incumbent needs no optimum. The limit is infinite by default.
+basis: the branch-and-bound engine sets its solver's limit to its
+incumbent less its prune tolerance, and a child that cannot beat the
+incumbent needs no optimum. The limit is infinite by default.
 
-A probe whose start is not dual feasible within ``_DUAL_TOL`` raises
-``ValueError``; there is no fallback. A cold start that is not, and every
-other warm start, a branch-and-bound node's own children among them, takes
-the primal repair: the pseudo-clock counts iterations, so a cheaper child
-buys more nodes within a budget set in iterations. With the dual for every child,
-``pipeline`` (seed 1) took 48,230 iterations instead of 53,614 and read a
-worse ``gap_integral`` (1.0021 against 0.99155), so node children wait
-until budgets stop rewarding cheaper LPs (ROADMAP item 10). The pipeline's
-policies never probe and its knapsack roots are primal feasible at the
-slack basis, so it never sees the dual. Strong branching's probes (seed 1)
-took 21,511 iterations on ``solve-wide`` with the primal repair, 10,073
-with the textbook dual, 8,067 with bound flipping and the limit and 6,141
-with steepest edge; on ``solve-small`` 16,982, 11,225, 3,871 and 3,849.
-The dual took ``solve-wide``'s roots from 639 iterations to 317.
+A ``dual=True`` start that is not dual feasible within ``_DUAL_TOL``
+raises ``ValueError``; there is no fallback. A cold start that is not, and
+every other warm start, a branch-and-bound node's own children among them,
+takes the primal repair. The pseudo-clock counts iterations, so a cheaper
+child buys more nodes within a budget set in iterations, and more nodes
+cost more time: with every dual feasible start on the dual, ``pipeline``
+(seed 1) took 29,141 iterations instead of 53,614, but its evaluation
+budget of 400 pseudo-clock iterations per solve then bought 9,364 nodes
+instead of 4,823, and a round took 6.0-7.3 s instead of 4.1-4.6 s. So node
+children keep the repair until a warm solve's fixed cost falls or budgets
+stop rewarding cheaper LPs (ROADMAP item 10). The pipeline's policies
+never probe and its knapsack roots are primal feasible at the slack basis,
+so it never sees the dual.
 
 A warm start factorizes its basis with one ``np.linalg.inv`` of
 ``W[:, basis]``. The solver keeps the last such inverse with its basis and
@@ -88,9 +87,10 @@ array, where an inverse kept on every solution would multiply it by the open
 nodes.
 
 Each pivot runs a few whole-array numpy operations (the reduced costs, the
-entering column, the point and the rank-1 update of the basis inverse, whose
-product goes into a buffer kept for the solve, ``_State.update``) and
-keeps everything else off numpy, since on the 3-row LPs that dominate
+entering column, the point and the basis exchange, ``_exchange``, which
+both simplex methods share: the rank-1 update of the basis inverse and the
+refactorization every ``_REFACTOR_EVERY`` pivots or on drift) and keeps
+everything else off numpy, since on the 3-row LPs that dominate
 branch-and-bound numpy's cost per call, not its arithmetic, sets the time:
 
 - pricing (``_price``) scores every column ``_SIGN[stat] * d`` (``|d|`` for
@@ -199,7 +199,7 @@ class _State:
     """Mutable solve state; lives for one solve() call, across its repairs and
     phase two."""
 
-    __slots__ = ("lb", "ub", "basis", "stat", "x", "Binv", "update", "pivots", "iters")
+    __slots__ = ("lb", "ub", "basis", "stat", "x", "Binv", "pivots", "iters")
 
     def __init__(self, lb, ub, basis, stat, x, Binv):
         self.lb = lb
@@ -208,20 +208,14 @@ class _State:
         self.stat = stat        # (n + m,) status codes
         self.x = x              # (n + m,) current point
         self.Binv = Binv        # (m, m)
-        self.update = np.empty_like(Binv)   # each pivot's rank-1 update of Binv
         self.pivots = 0
         self.iters = 0
 
 
 class SimplexSolver:
-    """Reusable solver context for one instance; caches the dense matrix.
+    """Reusable solver context for one instance; caches the dense matrix."""
 
-    ``dual_probes`` decides only how ``probe_children`` solves its warm
-    children: by the dual simplex, else by the primal repair. A cold solve
-    takes the dual whenever its start is dual feasible, either way.
-    """
-
-    def __init__(self, inst: MilpInstance, dual_probes: bool = True):
+    def __init__(self, inst: MilpInstance):
         self.inst = inst
         self.n = inst.num_vars
         self.m = inst.num_cons
@@ -238,8 +232,6 @@ class SimplexSolver:
         self._bscale = 1.0 + (float(np.abs(self.b).max()) if self.m else 0.0)
         self._warm_basis: tuple[int, ...] | None = None    # last warm basis ...
         self._warm_inv: np.ndarray | None = None           # ... and its inverse
-        self.dual_probes = dual_probes      # probe_children's method: the dual, else the repair
-        self._probing = False               # True while probe_children solves by the dual
         self.objective_limit = math.inf     # the dual stops (CUTOFF) at this objective
 
     # -- public API ----------------------------------------------------------
@@ -249,7 +241,17 @@ class SimplexSolver:
         overrides: tuple[BoundOverride, ...] | list[BoundOverride] = (),
         warm: LpSolution | None = None,
         iter_limit: int = 100_000,
+        dual: bool = False,
     ) -> LpSolution:
+        """Solve the LP under ``overrides``, from ``warm``'s basis when it is a
+        basis of this LP, else from the slack basis.
+
+        With ``dual`` the dual simplex runs from that start, which must be
+        dual feasible (``ValueError`` otherwise): strong branching's probes
+        ask for it. A cold start (``warm`` None) takes the dual when its
+        slack basis is dual feasible; every other start takes the primal
+        repair.
+        """
         lb, ub = self.lb0.copy(), self.ub0.copy()
         for ov in overrides:
             if not (0 <= ov.var < self.n):
@@ -267,12 +269,12 @@ class SimplexSolver:
 
         state = self._start(lb, ub, warm)
         d = None        # the start's reduced costs, when the dual takes it
-        if self._probing or warm is None:
+        if dual or warm is None:
             stat = state.stat
             d = self.cost - (self.cost[state.basis] @ state.Binv) @ self.W
             if _price(d, stat, (stat == _FREE).nonzero()[0].tolist(), False)[0] >= 0:
-                if self._probing:
-                    raise ValueError("warm start is not dual feasible")
+                if dual:
+                    raise ValueError("start is not dual feasible")
                 d = None
         if d is not None:
             status = self._dual(state, iter_limit, d)
@@ -292,27 +294,21 @@ class SimplexSolver:
         iter_limit: int = 100_000,
     ) -> tuple[LpSolution, LpSolution]:
         """Solve the floor/ceil children of branching on variable j, each
-        through ``solve`` from the parent's basis: with the dual simplex, or
-        with the primal repair when the solver was made with
-        ``dual_probes=False``."""
+        through ``solve`` from the parent's basis with the dual simplex."""
         if parent.status is not LpStatus.OPTIMAL or parent.x is None:
             raise ValueError("parent solution must be optimal")
         xj = float(parent.x[j])
         frac = xj - math.floor(xj)
         if min(frac, 1.0 - frac) <= INT_TOL:
             raise ValueError(f"variable {j} is integral at {xj!r}; nothing to probe")
-        self._probing = self.dual_probes
-        try:
-            down = self.solve(
-                tuple(overrides) + (BoundOverride(j, "upper", math.floor(xj)),),
-                warm=parent, iter_limit=iter_limit,
-            )
-            up = self.solve(
-                tuple(overrides) + (BoundOverride(j, "lower", math.ceil(xj)),),
-                warm=parent, iter_limit=iter_limit,
-            )
-        finally:
-            self._probing = False
+        down = self.solve(
+            tuple(overrides) + (BoundOverride(j, "upper", math.floor(xj)),),
+            warm=parent, iter_limit=iter_limit, dual=True,
+        )
+        up = self.solve(
+            tuple(overrides) + (BoundOverride(j, "lower", math.ceil(xj)),),
+            warm=parent, iter_limit=iter_limit, dual=True,
+        )
         return down, up
 
     # -- start construction ----------------------------------------------------
@@ -431,7 +427,7 @@ class SimplexSolver:
         3(n+m) pivots without a rise both choices take the lowest index and
         nothing flips, as ``_iterate`` switches to Bland's rule.
         """
-        W, b, cost, x, stat, basis = self.W, self.b, self.cost, state.x, state.stat, state.basis
+        W, cost, x, stat, basis = self.W, self.cost, state.x, state.stat, state.basis
         lb, ub = state.lb, state.ub
         # basis-side state, updated in place by each pivot (the bounds do not
         # move within one call), and the statuses as a list for the ratio test
@@ -484,16 +480,7 @@ class SimplexSolver:
             basis[r] = e
             lbb[r], ubb[r], cb[r] = lb[e], ub[e], cost[e]
             stat[e] = stat_l[e] = _BASIC
-            # |col[r]| > _PIVOT_TOL: the ratio test skips smaller entries
-            prow = Binv[r] / col[r]
-            Binv -= np.multiply(col[:, None], prow, out=state.update)
-            Binv[r] = prow
-            state.pivots += 1
-            if (
-                state.pivots % _REFACTOR_EVERY == 0
-                or np.abs(W @ x - b).max() > _DRIFT_TOL * self._bscale
-            ):
-                self._refactor(state)
+            self._exchange(state, r, col)
 
             state.iters += 1
             obj = float(cost @ x)
@@ -522,6 +509,23 @@ class SimplexSolver:
             raise NumericalInstabilityError("basis matrix is singular") from None
         self._set_basic_values(state)
 
+    def _exchange(self, state, r, col):
+        """Update the basis inverse for the pivot of the entering column
+        ``col`` (``Binv @ W[:, e]``) in row r, once the point and the basis
+        have moved, and refactorize every ``_REFACTOR_EVERY`` pivots or on
+        drift: ``W x = b`` holds exactly in real arithmetic."""
+        Binv = state.Binv
+        # |col[r]| > _PIVOT_TOL: both ratio tests skip smaller entries
+        prow = Binv[r] / col[r]
+        Binv -= col[:, None] * prow
+        Binv[r] = prow
+        state.pivots += 1
+        if (
+            state.pivots % _REFACTOR_EVERY == 0
+            or np.abs(self.W @ state.x - self.b).max() > _DRIFT_TOL * self._bscale
+        ):
+            self._refactor(state)
+
     def _iterate(self, cost, state, iter_limit, stop_var=None) -> LpStatus:
         """Run primal pivots for the given cost vector until done.
 
@@ -531,7 +535,7 @@ class SimplexSolver:
         bland = False
         stall = 0
         stall_limit = 3 * (self.n + self.m)
-        W, b, x, stat, basis = self.W, self.b, state.x, state.stat, state.basis
+        W, x, stat, basis = self.W, state.x, state.stat, state.basis
         # bounds do not move within one call (a repair moves them around it)
         lb, ub = state.lb.tolist(), state.ub.tolist()
         # basis-side state, updated in place by each pivot
@@ -587,17 +591,7 @@ class SimplexSolver:
                 stat[e] = _BASIC
                 if e in free:
                     free.remove(e)
-                # |col[leave_row]| > _PIVOT_TOL: the ratio test skips smaller entries
-                prow = Binv[leave_row] / col[leave_row]
-                Binv -= np.multiply(col[:, None], prow, out=state.update)
-                Binv[leave_row] = prow
-                state.pivots += 1
-                # W x = b holds exactly in real arithmetic; refactor on drift
-                if (
-                    state.pivots % _REFACTOR_EVERY == 0
-                    or np.abs(W @ x - b).max() > _DRIFT_TOL * self._bscale
-                ):
-                    self._refactor(state)
+                self._exchange(state, leave_row, col)
 
             state.iters += 1
             obj = float(cost @ x)

@@ -242,8 +242,8 @@ def test_child_lp_below_parent_keeps_trace_monotone(monkeypatch):
     stubbed = []
 
     class LowChildSolver(bnb.SimplexSolver):
-        def solve(self, overrides=(), warm=None, iter_limit=100_000):
-            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit)
+        def solve(self, overrides=(), warm=None, iter_limit=100_000, dual=False):
+            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit, dual=dual)
             if warm is not None and not stubbed and sol.status is bnb.LpStatus.OPTIMAL:
                 sol = dataclasses.replace(sol, objective=warm.objective - 1e-9)
                 stubbed.append(sol)
@@ -297,8 +297,8 @@ def _recording_solver(monkeypatch, calls):
     from branchlab import bnb
 
     class RecordingSolver(bnb.SimplexSolver):
-        def solve(self, overrides=(), warm=None, iter_limit=100_000):
-            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit)
+        def solve(self, overrides=(), warm=None, iter_limit=100_000, dual=False):
+            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit, dual=dual)
             calls.append((tuple(overrides), warm, sol.iterations))
             return sol
 
@@ -398,24 +398,34 @@ class ProbeFirst(BranchingPolicy):
 
 
 def test_only_probed_children_take_the_dual(monkeypatch):
-    """The dual simplex solves exactly the children a policy probes: both
-    children of every node under a policy that probes its choice, none
-    under one that does not probe."""
+    """The dual simplex solves exactly the children a policy probes, and
+    ``probe_children`` runs only for probes: both children and one probe of
+    every node under a policy that probes its choice, on the engine's one
+    solver, and none under one that does not probe."""
     from branchlab import simplex
 
-    duals = []
+    duals, probes = [], []
     dual = simplex.SimplexSolver._dual
+    probe_children = simplex.SimplexSolver.probe_children
 
-    def counting(self, state, iter_limit, d):
-        duals.append(self.dual_probes)
+    def counting_dual(self, state, iter_limit, d):
+        duals.append(self)
         return dual(self, state, iter_limit, d)
 
-    monkeypatch.setattr(simplex.SimplexSolver, "_dual", counting)
+    def counting_probe(self, overrides, parent, j, iter_limit=100_000):
+        probes.append(self)
+        return probe_children(self, overrides, parent, j, iter_limit=iter_limit)
+
+    monkeypatch.setattr(simplex.SimplexSolver, "_dual", counting_dual)
+    monkeypatch.setattr(simplex.SimplexSolver, "probe_children", counting_probe)
     inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
     res = solve(inst, MostInfeasiblePolicy(), Budget(max_nodes=10_000), seed=0)
-    assert res.nodes_processed > 1 and duals == []
+    assert res.nodes_processed > 1 and duals == [] and probes == []
     res = solve(inst, ProbeFirst(), Budget(max_nodes=10_000), seed=0)
-    assert res.nodes_processed > 1 and duals == [True] * (2 * res.nodes_processed)
+    assert res.nodes_processed > 1
+    assert len(duals) == 2 * res.nodes_processed
+    assert len(probes) == res.nodes_processed
+    assert len({id(solver) for solver in duals + probes}) == 1
 
 
 def _stub_probes(monkeypatch, change):
@@ -545,7 +555,7 @@ def test_strong_branching_probes_match_solve_on_general_integers(monkeypatch):
 
 
 def test_engine_drops_cut_off_children(monkeypatch):
-    """The engine keeps its prober's objective limit at the incumbent minus
+    """The engine keeps its solver's objective limit at the incumbent minus
     the prune tolerance, queues no child the limit cut off, and strong
     branching still reaches the enumerated optimum."""
     from branchlab import bnb
@@ -554,7 +564,7 @@ def test_engine_drops_cut_off_children(monkeypatch):
     add_child = bnb._Engine._add_child
 
     def checked_add(self, parent, override, lp):
-        assert self.prober.objective_limit == self.incumbent_value - PRUNE_TOL
+        assert self.solver.objective_limit == self.incumbent_value - PRUNE_TOL
         queued = len(self.heap)
         add_child(self, parent, override, lp)
         if lp.status is LpStatus.CUTOFF:

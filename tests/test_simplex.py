@@ -759,14 +759,9 @@ def test_bound_flipping_probes_match_solve_and_enumeration(monkeypatch):
     assert counts["enumerated"] >= 400 and counts["cut off"] >= 600, counts
 
 
-def test_flipping_probes_need_no_drift_refactorization(monkeypatch):
-    """A dual pivot that flips bounds moves the basic values by the flips'
-    columns as well, so ``W x = b`` holds to rounding and the drift check
-    never refactorizes: each probed child's refactorizations are the
-    scheduled ones (every ``_REFACTOR_EVERY`` pivots) and, for an optimal
-    child, phase two's one."""
-    from branchlab import simplex
-
+def _count_refactors(monkeypatch):
+    """Record each solve's state (from ``_start``) and count its
+    ``_refactor`` calls by the state's id."""
     states, refactors = [], collections.Counter()
     start, refactor = SimplexSolver._start, SimplexSolver._refactor
 
@@ -780,6 +775,19 @@ def test_flipping_probes_need_no_drift_refactorization(monkeypatch):
 
     monkeypatch.setattr(SimplexSolver, "_start", recording_start)
     monkeypatch.setattr(SimplexSolver, "_refactor", counting_refactor)
+    return states, refactors
+
+
+def test_flipping_probes_need_no_drift_refactorization(monkeypatch):
+    """A dual pivot that flips bounds moves the basic values by the flips'
+    columns as well, so ``W x = b`` holds to rounding and the drift check
+    never refactorizes: each probed child's refactorizations are the
+    scheduled ones (every ``_REFACTOR_EVERY`` pivots) and, for an optimal
+    child, phase two's one. So are those of a primal solve past the
+    schedule."""
+    from branchlab import simplex
+
+    states, refactors = _count_refactors(monkeypatch)
     flipped = _record_flips(monkeypatch)
     rng = np.random.default_rng(31)
     counts = collections.Counter()
@@ -805,6 +813,46 @@ def test_flipping_probes_need_no_drift_refactorization(monkeypatch):
                 counts[child.status] += 1
     assert counts["probes with flips"] >= 80, counts
     assert counts[LpStatus.OPTIMAL] >= 80 and counts[LpStatus.INFEASIBLE] >= 40, counts
+
+    del states[:]
+    refactors.clear()
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=120, m=20, seed=0))
+    sol = SimplexSolver(inst).solve()
+    (state,) = states
+    assert sol.status is LpStatus.OPTIMAL and state.pivots > simplex._REFACTOR_EVERY
+    assert refactors[id(state)] == state.pivots // simplex._REFACTOR_EVERY + 1
+
+
+def test_drifting_pivots_refactorize(monkeypatch):
+    """On LPs whose columns are scaled by 1e5 to 1e7 against a right-hand
+    side below 2, the rounding of ``W x`` can exceed the drift tolerance,
+    and a pivot after which ``W x = b`` has drifted refactorizes beyond the
+    schedule: every solve has at least the scheduled refactorizations and
+    phase two's one, some have more, and every optimum is the enumerated
+    one."""
+    from branchlab import simplex
+
+    states, refactors = _count_refactors(monkeypatch)
+    rng = np.random.default_rng(37)
+    drifted = 0
+    for k in range(200):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 5))
+        A = np.round(rng.normal(0, 1, (m, n)), 3) * 10.0 ** rng.uniform(5, 7, n)
+        b = np.round(rng.uniform(0, 2, m), 2)
+        lo, up = np.zeros(n), rng.integers(1, 5, n).astype(float)
+        c = -rng.integers(1, 5, n).astype(float)
+        del states[:]
+        refactors.clear()
+        sol = SimplexSolver(make_instance(f"scaled{k}", c, A, b, lo, up, n)).solve()
+        (state,) = states
+        assert sol.status is LpStatus.OPTIMAL, k
+        assert sol.objective == pytest.approx(lp_vertex_optimum(c, A, b, lo, up),
+                                              rel=1e-6, abs=1e-6), k
+        extra = refactors[id(state)] - state.pivots // simplex._REFACTOR_EVERY - 1
+        assert extra >= 0, k
+        drifted += extra > 0
+    assert drifted >= 5, drifted
 
 
 def _violated_start_lp(rng, k):
