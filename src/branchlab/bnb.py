@@ -6,6 +6,13 @@ the engine performs (node solves, strong-branching probes, dive estimates),
 so identical inputs give identical traces regardless of machine. A wall-clock
 mode exists for reporting but is not reproducible.
 
+The root is the first child: it is queued by the same method as every other
+node, as the child of a sentinel parent with no overrides and no bound. One
+method (``_Engine._counted``) counts every LP the engine solves on the clock
+and raises the typed error an iteration limit or an unbounded relaxation
+calls for, so a fault raises where its LP is solved, a probed child's
+included, whether or not the policy then branches on it.
+
 A node's two children are one pair of LPs for the variable it branches on:
 the pair the policy already probed (strong branching probes every candidate)
 or else a fresh pair. So each child LP is solved, counted on the clock,
@@ -179,6 +186,10 @@ class BnbNode:
     candidate_set: tuple[int, ...] = ()
 
 
+# the parent of the root: the root is queued as any other child
+_ROOT = BnbNode(id=-1, depth=-1, overrides=(), lp=None, bound=-math.inf)
+
+
 @dataclass
 class SolveResult:
     status: SolveStatus
@@ -294,30 +305,35 @@ class _Engine:
 
     # -- LP plumbing -----------------------------------------------------------
 
-    def _solve_lp(self, overrides, warm) -> LpSolution:
-        sol = self.solver.solve(overrides, warm=warm)
+    def _counted(self, sol: LpSolution) -> LpSolution:
+        """Count an LP the engine solved on the clock and raise the error its
+        status calls for; every LP passes through here once."""
         self.iterations += sol.iterations
-        return _checked(sol)
+        if sol.status is LpStatus.ITERATION_LIMIT:
+            raise NumericalInstabilityError("LP hit the iteration limit")
+        if sol.status is LpStatus.UNBOUNDED:
+            raise ValueError("relaxation is unbounded; instance violates preconditions")
+        return sol
+
+    def _solve_lp(self, overrides, warm=None) -> LpSolution:
+        return self._counted(self.solver.solve(overrides, warm=warm))
 
     def probe(self, node: BnbNode, j: int) -> tuple[LpSolution, LpSolution]:
         """The (down, up) children of branching on j, solved by the dual
         simplex from the node's LP."""
-        return self._account(node, j, self.solver.probe_children(node.overrides, node.lp, j))
+        pair = self.solver.probe_children(node.overrides, node.lp, j)
+        return self._account(node, j, tuple(map(self._counted, pair)))
 
     def _account(
         self, node: BnbNode, j: int, pair: tuple[LpSolution, LpSolution],
     ) -> tuple[LpSolution, LpSolution]:
-        """Account for the (down, up) children of branching on j, solved warm
-        from the node's LP. Each is counted on the clock, and each optimal
-        child is checked against the parent (a tightened child cannot beat
-        it beyond ``FEAS_TOL``) and folded into the pseudocosts; this is the
-        only place any of these happens."""
-        down, up = pair
-        self.iterations += down.iterations + up.iterations
+        """Check each optimal (down, up) child of branching on j against the
+        parent (a tightened child cannot beat it beyond ``FEAS_TOL``) and fold
+        it into the pseudocosts; this is the only place either happens."""
         parent_obj = node.lp.objective
         xj = float(node.lp.x[j])
         frac = xj - math.floor(xj)
-        for child, direction, dist in ((down, "down", frac), (up, "up", 1.0 - frac)):
+        for child, direction, dist in zip(pair, ("down", "up"), (frac, 1.0 - frac)):
             if child.status is not LpStatus.OPTIMAL:
                 continue
             if child.objective < parent_obj - FEAS_TOL * (1 + abs(parent_obj)):
@@ -325,7 +341,7 @@ class _Engine:
                     f"child bound {child.objective} beats parent {parent_obj}"
                 )
             pc_update(self.pc, j, direction, parent_obj, child.objective, dist)
-        return down, up
+        return pair
 
     def observe(self, node: BnbNode):
         return extract_observation(
@@ -355,12 +371,13 @@ class _Engine:
             self.incumbent_value = value
             self.solver.objective_limit = value - PRUNE_TOL
 
-    def _add_child(self, parent: BnbNode, override: BoundOverride, lp: LpSolution) -> None:
-        """Queue one child unless it is infeasible, cut off, integral
-        or pruned. A child LP may come back a little below its parent's (within
-        ``FEAS_TOL``); the child's bound, which keys the heap and so the
-        dual-bound trace, is then the parent's, so the trace never decreases."""
-        lp = _checked(lp)
+    def _add_child(self, parent: BnbNode, overrides: tuple[BoundOverride, ...],
+                   lp: LpSolution) -> None:
+        """Queue the child that adds ``overrides`` to its parent's unless it is
+        infeasible, cut off, integral or pruned. A child LP may come back a
+        little below its parent's (within ``FEAS_TOL``); the child's bound,
+        which keys the heap and so the dual-bound trace, is then the
+        parent's, so the trace never decreases."""
         if lp.status is LpStatus.INFEASIBLE or lp.status is LpStatus.CUTOFF:
             return
         cands = self._candidates(lp)
@@ -372,7 +389,7 @@ class _Engine:
             return
         node = BnbNode(
             id=self.next_id, depth=parent.depth + 1,
-            overrides=parent.overrides + (override,), lp=lp, bound=bound, candidate_set=cands,
+            overrides=parent.overrides + overrides, lp=lp, bound=bound, candidate_set=cands,
         )
         self.next_id += 1
         heapq.heappush(self.heap, (bound, node.id, node))
@@ -395,53 +412,23 @@ class _Engine:
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> SolveResult:
-        root = self.solver.solve()
-        self.iterations += root.iterations
-        if root.status is LpStatus.UNBOUNDED:
-            raise ValueError("root relaxation is unbounded; instance violates preconditions")
-        if root.status is LpStatus.ITERATION_LIMIT:
-            raise NumericalInstabilityError("root LP hit the iteration limit")
-        if root.status is LpStatus.INFEASIBLE:
-            return self._finish(SolveStatus.INFEASIBLE)
-
-        self.policy.reset(ResetContext(self.inst, root, self._solve_lp))
-
-        root_cands = self._candidates(root)
-        root_node = BnbNode(
-            id=0, depth=0, overrides=(), lp=root, bound=root.objective,
-            candidate_set=root_cands,
-        )
-        self.next_id = 1
-        if not root_cands:
-            self._try_incumbent(root)
-            self.trace.append(self.clock(), self.incumbent_value)
-            return self._finish(SolveStatus.OPTIMAL)
-        heapq.heappush(self.heap, (root.objective, root_node.id, root_node))
+        root = self._solve_lp(())
+        if root.status is LpStatus.OPTIMAL:
+            self.policy.reset(ResetContext(self.inst, root, self._solve_lp))
+        self._add_child(_ROOT, (), root)
         self._record_bound()
-
-        status = None
-        while True:
-            self._cleanup_heap()
-            if not self.heap:
-                status = (
-                    SolveStatus.OPTIMAL if self.incumbent is not None
-                    else SolveStatus.INFEASIBLE
-                )
-                break
-            if self.budget.max_nodes is not None and self.nodes_processed >= self.budget.max_nodes:
-                status = SolveStatus.BUDGET_EXHAUSTED
-                break
-            if self._out_of_clock():
-                status = SolveStatus.BUDGET_EXHAUSTED
-                break
+        while self.heap:
+            max_nodes = self.budget.max_nodes
+            if (max_nodes is not None and self.nodes_processed >= max_nodes) or self._out_of_clock():
+                return self._finish(SolveStatus.BUDGET_EXHAUSTED)
             node = heapq.heappop(self.heap)[2]
             self._expand(node)
             self.nodes_processed += 1
             self._record_bound()
-
-        if status is SolveStatus.OPTIMAL:
-            self.trace.append(self.clock(), self.incumbent_value)
-        return self._finish(status)
+        # the heap is empty, so the last recorded bound is the incumbent's
+        return self._finish(
+            SolveStatus.OPTIMAL if self.incumbent is not None else SolveStatus.INFEASIBLE
+        )
 
     def _expand(self, node: BnbNode) -> None:
         ctx = NodeContext(self, node)
@@ -463,9 +450,9 @@ class _Engine:
         pair = ctx.probed.get(action)
         if pair is None:
             pair = self._account(node, action, tuple(
-                self.solver.solve(node.overrides + (ov,), warm=node.lp) for ov in split))
+                self._solve_lp(node.overrides + (ov,), warm=node.lp) for ov in split))
         for ov, lp in zip(split, pair):
-            self._add_child(node, ov, lp)
+            self._add_child(node, (ov,), lp)
 
     def _finish(self, status: SolveStatus) -> SolveResult:
         end_clock = self.clock()
@@ -509,15 +496,6 @@ class _Engine:
             lp_iterations=self.iterations,
             reward_constant=constant,
         )
-
-
-def _checked(sol: LpSolution) -> LpSolution:
-    """A node or child LP, or the error its status calls for."""
-    if sol.status is LpStatus.ITERATION_LIMIT:
-        raise NumericalInstabilityError("node LP hit the iteration limit")
-    if sol.status is LpStatus.UNBOUNDED:
-        raise ValueError("relaxation is unbounded; instance violates preconditions")
-    return sol
 
 
 def solve(

@@ -287,9 +287,8 @@ class HybridExpertPolicy(BranchingPolicy):
         self.config = HybridConfig(db0=db0, r0=self.r0)
 
     def select(self, ctx) -> int:
-        config = self.config or HybridConfig(db0=ctx.dual_bound, r0=self.r0)
         r = float(ctx.rng.uniform())
-        rule = hybrid_rule(ctx.dual_bound, config, r)
+        rule = hybrid_rule(ctx.dual_bound, self.config, r)
         self.rule_counts[rule] += 1
         if rule == "pc":
             return pseudocost_select(ctx.lp.x, ctx.candidates, ctx.pseudocosts, self.epsilon)

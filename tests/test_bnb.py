@@ -97,14 +97,66 @@ def test_knapsack_all_policies_find_optimum(knapsack):
         assert res.trace.events[-1][1] == pytest.approx(res.incumbent_value, abs=1e-7)
 
 
-def test_integral_root_means_no_transitions():
+class CountingResets(MostInfeasiblePolicy):
+    """Most-infeasible branching that counts its resets."""
+
+    def __init__(self):
+        self.resets = 0
+
+    def reset(self, rctx):
+        self.resets += 1
+
+
+def test_integral_root_means_no_transitions(monkeypatch):
     # relaxation optimum is already integral: min x1 with x binary
+    calls = []
+    _recording_solver(monkeypatch, calls)
     inst = make_instance("int-root", [1, 1], [[1, 1]], [2], [0, 0], [1, 1], 2)
-    res = solve(inst, MostInfeasiblePolicy(), Budget(max_nodes=10))
+    policy = CountingResets()
+    res = solve(inst, policy, Budget(max_nodes=10))
     assert res.status is SolveStatus.OPTIMAL
     assert len(res.episode.transitions) == 0
     assert res.dual_integral() == 0.0
     assert res.cumulative_reward() == res.reward_constant
+    [(overrides, warm, iterations)] = calls
+    assert overrides == () and warm is None
+    assert res.trace.events == [(float(iterations), res.incumbent_value)]
+    assert policy.resets == 1 and res.nodes_processed == 0
+
+
+def test_infeasible_root():
+    """An infeasible root ends the solve with no bound, node or reset."""
+    inst = make_instance("inf-root", [1, 1], [[-1, -1]], [-3], [0, 0], [1, 1], 2)
+    policy = CountingResets()
+    res = solve(inst, policy, Budget(max_nodes=10))
+    assert res.status is SolveStatus.INFEASIBLE
+    assert res.trace.events == [] and res.nodes_processed == 0
+    assert policy.resets == 0
+
+
+def test_unbounded_root_raises():
+    inst = make_instance("unb-root", [-1, 0], [[0, 1]], [1], [0, 0], [math.inf, 1], 2)
+    with pytest.raises(ValueError, match="unbounded"):
+        solve(inst, CountingResets(), Budget(max_nodes=10))
+
+
+@pytest.mark.parametrize("stub_warm", [False, True], ids=["root", "warm-child"])
+def test_lp_at_iteration_limit_raises(monkeypatch, stub_warm):
+    """The root, or the first child solved warm, stopped by the iteration
+    limit is a numerical fault."""
+    from branchlab import bnb
+
+    class StubbedSolver(bnb.SimplexSolver):
+        def solve(self, overrides=(), warm=None, iter_limit=100_000, dual=False):
+            sol = super().solve(overrides, warm=warm, iter_limit=iter_limit, dual=dual)
+            if (warm is not None) is stub_warm:
+                sol = dataclasses.replace(sol, status=LpStatus.ITERATION_LIMIT, x=None)
+            return sol
+
+    monkeypatch.setattr(bnb, "SimplexSolver", StubbedSolver)
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
+    with pytest.raises(NumericalInstabilityError, match="iteration limit"):
+        solve(inst, CountingResets(), Budget(max_nodes=100), seed=0)
 
 
 def test_budget_one_node():
@@ -326,6 +378,19 @@ def test_strong_branching_solves_each_child_once(monkeypatch):
     assert repeated_before > 0, "the reference must re-solve probed children"
 
 
+def test_clock_counts_every_lp_solved(monkeypatch):
+    """Under every standard rule and a budget, the pseudo-clock and the
+    iteration count both equal the iterations of every LP the solver
+    returned: root, dive, probe and node children alike."""
+    for inst in _sample_instances():
+        for name, cls in STANDARD_POLICIES.items():
+            calls = []
+            _recording_solver(monkeypatch, calls)
+            res = solve(inst, cls(), Budget(max_nodes=15, max_clock=300), seed=3)
+            total = sum(it for _, _, it in calls)
+            assert res.lp_iterations == res.clock_used == total, (inst.name, name)
+
+
 def _without_pseudocosts(obs):
     """The observation's arrays, leaving out the pseudocost columns 10 and 11."""
     return (np.delete(obs.var_features, [10, 11], axis=1).tobytes(),
@@ -447,6 +512,30 @@ def test_probed_child_at_iteration_limit_raises(monkeypatch):
         solve(inst, ProbeFirst(), Budget(max_nodes=100), seed=0)
 
 
+def test_probed_child_not_branched_on_still_raises(monkeypatch):
+    """A probe's fault raises when it is probed, also when the policy then
+    branches on another candidate."""
+    from branchlab import bnb
+
+    class ProbeOneBranchAnother(BranchingPolicy):
+        name = "probe-one-branch-another"
+
+        def select(self, ctx):
+            if len(ctx.candidates) >= 2:
+                ctx.probe(min(ctx.candidates))
+            return max(ctx.candidates)
+
+    class StubbedSolver(bnb.SimplexSolver):
+        def probe_children(self, overrides, parent, j, iter_limit=100_000):
+            down, up = super().probe_children(overrides, parent, j, iter_limit=iter_limit)
+            return dataclasses.replace(down, status=LpStatus.ITERATION_LIMIT, x=None), up
+
+    monkeypatch.setattr(bnb, "SimplexSolver", StubbedSolver)
+    inst = generate_instance(InstanceFamilySpec("multi-knapsack", n=10, m=3, seed=1))
+    with pytest.raises(NumericalInstabilityError, match="iteration limit"):
+        solve(inst, ProbeOneBranchAnother(), Budget(max_nodes=100), seed=0)
+
+
 def test_probed_child_beating_parent_raises(monkeypatch):
     def beat(parent, child):
         if child.status is not LpStatus.OPTIMAL:
@@ -563,10 +652,10 @@ def test_engine_drops_cut_off_children(monkeypatch):
     dropped = collections.Counter()
     add_child = bnb._Engine._add_child
 
-    def checked_add(self, parent, override, lp):
+    def checked_add(self, parent, overrides, lp):
         assert self.solver.objective_limit == self.incumbent_value - PRUNE_TOL
         queued = len(self.heap)
-        add_child(self, parent, override, lp)
+        add_child(self, parent, overrides, lp)
         if lp.status is LpStatus.CUTOFF:
             assert len(self.heap) == queued
             dropped[self.inst.name] += 1
