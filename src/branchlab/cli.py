@@ -1,10 +1,27 @@
 """End-to-end pipeline CLI: generate -> collect -> select -> train -> evaluate
 -> compare -> report.
 
-Artifacts live under the run root (``instances/``, ``episodes/``,
-``selected/``, ``checkpoints/``, ``reports/``), each stage writing a manifest
-stamped with (config hash, seed, feature-catalog version). Exit codes:
-0 success, 1 usage, 2 data error, 3 partial-failure threshold exceeded.
+Artifacts live under the run root. Five stages each write a directory and
+its ``manifest.json``, stamped with (config hash, seed, feature-catalog
+version), holding the stage's wall time as ``wall_s`` and, under ``files``,
+the sha256 of each file the stage hashes:
+
+- ``generate``: ``instances/``, every ``<instance>.milp``, keyed by instance name;
+- ``collect``: ``episodes/``, every ``<instance>.jsonl``, keyed by instance name;
+- ``select``: ``selected/``, ``dataset.jsonl``;
+- ``train``: ``checkpoints/``, every checkpoint ``.npz`` and ``loss_curve.csv``;
+- ``evaluate``: ``reports/``, ``checkpoint_table.json`` and every
+  ``eval_*.json`` and ``eval_*.csv``.
+
+Two kinds of file are not hashed: ``selected/envelope_report.json``, and the
+episodes' states in ``episodes/observations/<instance>.npz``, which are
+checked against the per-row digests that the hashed ``.jsonl`` carries.
+``compare`` and ``report`` write into ``reports/`` (``leaderboard.json``;
+``summary.txt``, a copy of ``loss_curve.csv`` and ``plotdata/``) and write
+no manifest. A stage reads its inputs' manifests through ``_stage_input``,
+which refuses a config-hash mismatch, and writes its own through
+``_StageOutput``. Exit codes: 0 success, 1 usage, 2 data error,
+3 partial-failure threshold exceeded.
 """
 
 from __future__ import annotations
@@ -44,7 +61,6 @@ from .evaluation import (
 from .gnn import GcnnPolicy, TrainConfig, load_checkpoint, train_policy
 from .instances import (
     InstanceFamilySpec,
-    MilpInstance,
     generate_instance,
     parse_instance,
     serialize_instance,
@@ -67,43 +83,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _stamp(cfg: Config) -> dict:
     return {
         "config_hash": cfg.hash(),
         "seed": cfg.get_int("run.seed"),
         "catalog_version": CATALOG_VERSION,
     }
-
-
-def _write_manifest(directory: Path, cfg: Config, payload: dict, started: float) -> None:
-    """Write a stage's manifest, with the stage's wall time since ``started``
-    (a ``time.perf_counter`` reading) as ``wall_s``."""
-    manifest = dict(_stamp(cfg))
-    manifest.update(payload)
-    manifest["wall_s"] = time.perf_counter() - started
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-
-
-def _read_manifest(directory: Path) -> dict:
-    return json.loads((directory / "manifest.json").read_text())
-
-
-def _instance_dir(cfg: Config) -> Path:
-    return Path(cfg.get("run.root")) / "instances"
-
-
-def _load_split(cfg: Config, split: str) -> list[MilpInstance]:
-    manifest = _read_manifest(_instance_dir(cfg))
-    _check_stamp(cfg, manifest, "instances")
-    names = manifest["splits"][split]
-    return [
-        parse_instance((_instance_dir(cfg) / f"{name}.milp").read_text())
-        for name in names
-    ]
 
 
 def _check_stamp(cfg: Config, artifact: dict, what: str) -> None:
@@ -114,21 +99,55 @@ def _check_stamp(cfg: Config, artifact: dict, what: str) -> None:
         )
 
 
+def _stage_input(cfg: Config, stage: str, what: str | None = None) -> tuple[Path, dict]:
+    """The directory ``stage`` under the run root and its manifest, refused
+    (as ``what``, by default the stage) unless stamped with this config's hash."""
+    directory = Path(cfg.get("run.root")) / stage
+    manifest = json.loads((directory / "manifest.json").read_text())
+    _check_stamp(cfg, manifest, what or stage)
+    return directory, manifest
+
+
+class _StageOutput:
+    """A stage's directory under the run root, created on construction, and
+    its manifest: the stamp, the sha256 of each file written or recorded
+    (under ``key``, by default the file's name), the stage's payload and its
+    wall time since construction as ``wall_s``."""
+
+    def __init__(self, cfg: Config, stage: str):
+        self.started = time.perf_counter()
+        self.stamp = _stamp(cfg)
+        self.dir = Path(cfg.get("run.root")) / stage
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.files: dict[str, str] = {}
+
+    def write(self, name: str, text: str, key: str | None = None) -> None:
+        path = self.dir / name
+        path.write_text(text)
+        self.record(path, key)
+
+    def record(self, path: Path, key: str | None = None) -> None:
+        """Hash a file that another function wrote."""
+        self.files[key or path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def close(self, **payload) -> None:
+        manifest = dict(self.stamp, files=self.files, **payload)
+        manifest["wall_s"] = time.perf_counter() - self.started
+        (self.dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: Config) -> int:
-    started = time.perf_counter()
-    out = _instance_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _StageOutput(cfg, "instances")
     cfg.write_effective(cfg.get("run.root"))
     seed = cfg.get_int("run.seed")
     family = cfg.get("family.name")
     n, m = cfg.get_int("family.n"), cfg.get_int("family.m")
     density = cfg.get_float("family.density")
     splits: dict[str, list[str]] = {}
-    files: dict[str, str] = {}
     for code, split in enumerate(("train", "valid", "test")):
         count = cfg.get_int(f"family.{split}_count")
         names = []
@@ -139,59 +158,53 @@ def cmd_generate(cfg: Config) -> int:
                 name=f"{split}_{i:04d}",
             )
             inst = generate_instance(spec)
-            path = out / f"{inst.name}.milp"
-            path.write_text(serialize_instance(inst))
-            files[inst.name] = _sha256(path)
+            out.write(f"{inst.name}.milp", serialize_instance(inst), key=inst.name)
             names.append(inst.name)
         splits[split] = names
-    _write_manifest(out, cfg, {"splits": splits, "files": files}, started)
-    print(f"generated {sum(len(v) for v in splits.values())} instances under {out}")
+    out.close(splits=splits)
+    print(f"generated {sum(len(v) for v in splits.values())} instances under {out.dir}")
     return EXIT_OK
 
 
 def cmd_collect(cfg: Config) -> int:
-    started = time.perf_counter()
-    instances = _load_split(cfg, "train")
-    out = Path(cfg.get("run.root")) / "episodes"
-    (out / "observations").mkdir(parents=True, exist_ok=True)
+    out = _StageOutput(cfg, "episodes")
+    ins_dir, ins_manifest = _stage_input(cfg, "instances")
+    instances = [parse_instance((ins_dir / f"{name}.milp").read_text())
+                 for name in ins_manifest["splits"]["train"]]
+    (out.dir / "observations").mkdir(exist_ok=True)
     budget = Budget(
         max_nodes=cfg.get_int("collect.max_nodes"),
         max_clock=cfg.get_float("collect.max_clock"),
     )
     seed = cfg.get_int("run.seed")
-    files: dict[str, str] = {}
+    hybrid = dict(
+        r0=cfg.get_float("hybrid.r0"),
+        db0_mode=cfg.get("hybrid.db0_mode"),
+        db0_value=cfg.get_float("hybrid.db0_value"),
+        epsilon=cfg.get_float("pc.epsilon"),
+    )
     counts: dict[str, int] = {}
     failures: list[str] = []
     for inst in instances:
-        policy = HybridExpertPolicy(
-            r0=cfg.get_float("hybrid.r0"),
-            db0_mode=cfg.get("hybrid.db0_mode"),
-            db0_value=cfg.get_float("hybrid.db0_value"),
-            epsilon=cfg.get_float("pc.epsilon"),
-        )
+        policy = HybridExpertPolicy(**hybrid)
         try:
             result = solve(inst, policy, budget, seed=seed)
         except Exception as exc:
             print(f"collect: {inst.name} failed: {exc}", file=sys.stderr)
             failures.append(inst.name)
             continue
-        path = out / f"{inst.name}.jsonl"
-        provenance = dict(_stamp(cfg), rule_counts=policy.rule_counts)
+        path = out.dir / f"{inst.name}.jsonl"
+        provenance = dict(out.stamp, rule_counts=policy.rule_counts)
         write_episode_file(path, result.episode, provenance=provenance)
-        files[inst.name] = _sha256(path)
+        out.record(path, key=inst.name)
         counts[inst.name] = len(result.episode.transitions)
-    _write_manifest(
-        out, cfg,
-        {
-            "files": files,
-            "transition_counts": counts,
-            "total_transitions": sum(counts.values()),
-            "failed": failures,
-        },
-        started,
+    out.close(
+        transition_counts=counts,
+        total_transitions=sum(counts.values()),
+        failed=failures,
     )
     print(
-        f"collected {len(files)} episodes, {sum(counts.values())} transitions, "
+        f"collected {len(out.files)} episodes, {sum(counts.values())} transitions, "
         f"{len(failures)} failures"
     )
     if instances and len(failures) > 0.10 * len(instances):
@@ -199,16 +212,11 @@ def cmd_collect(cfg: Config) -> int:
     return EXIT_OK
 
 
-def _load_episodes(cfg: Config):
-    out = Path(cfg.get("run.root")) / "episodes"
-    manifest = _read_manifest(out)
-    _check_stamp(cfg, manifest, "episodes")
-    return [read_episode_file(out / f"{name}.jsonl") for name in sorted(manifest["files"])]
-
-
 def cmd_select(cfg: Config) -> int:
-    started = time.perf_counter()
-    episodes = _load_episodes(cfg)
+    out = _StageOutput(cfg, "selected")
+    ep_dir, ep_manifest = _stage_input(cfg, "episodes")
+    episodes = [read_episode_file(ep_dir / f"{name}.jsonl")
+                for name in sorted(ep_manifest["files"])]
     returns = compute_returns(episodes, cfg.get_float("select.gamma"))
     if not returns.entries:
         raise ConfigError("no transitions collected; nothing to select from")
@@ -226,9 +234,6 @@ def cmd_select(cfg: Config) -> int:
     lengths = {ep.instance: len(ep.transitions) for ep in episodes}
     positions = [e.t / lengths[e.episode] for e in selected]
 
-    out = Path(cfg.get("run.root")) / "selected"
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = out / "dataset.jsonl"
     lines = []
     for e in selected:
         lines.append(
@@ -244,11 +249,11 @@ def cmd_select(cfg: Config) -> int:
                 sort_keys=True,
             )
         )
-    dataset.write_text("\n".join(lines) + "\n")
+    out.write("dataset.jsonl", "\n".join(lines) + "\n")
     g_shift, v_shift = shift_to_positive(
         np.array([e.G for e in returns.entries]), values
     )
-    report = dict(_stamp(cfg))
+    report = dict(out.stamp)
     report.update(
         {
             "p": env_cfg.p,
@@ -271,26 +276,19 @@ def cmd_select(cfg: Config) -> int:
             ],
         }
     )
-    (out / "envelope_report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
-    _write_manifest(
-        out, cfg,
-        {"files": {"dataset.jsonl": _sha256(dataset)},
-         "selected": len(selected), "total": len(returns.entries)},
-        started,
-    )
+    (out.dir / "envelope_report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+    out.close(selected=len(selected), total=len(returns.entries))
     print(f"selected {len(selected)} of {len(returns.entries)} transitions (p={env_cfg.p})")
     return EXIT_OK
 
 
 def _load_dataset(cfg: Config):
-    root = Path(cfg.get("run.root"))
-    manifest = _read_manifest(root / "selected")
-    _check_stamp(cfg, manifest, "selected dataset")
-    lines = (root / "selected" / "dataset.jsonl").read_text().splitlines()
+    directory, _manifest = _stage_input(cfg, "selected", "selected dataset")
+    lines = (directory / "dataset.jsonl").read_text().splitlines()
     rows = [json.loads(line) for line in lines]
     # each episode's states are read once; only the selected ones are checked
     states = {
-        name: read_states(root / "episodes" / f"{name}.jsonl")
+        name: read_states(directory.parent / "episodes" / f"{name}.jsonl")
         for name in sorted({row["episode"] for row in rows})
     }
     batch = []
@@ -306,10 +304,8 @@ def _load_dataset(cfg: Config):
 
 
 def cmd_train(cfg: Config) -> int:
-    started = time.perf_counter()
+    out = _StageOutput(cfg, "checkpoints")
     batch = _load_dataset(cfg)
-    out = Path(cfg.get("run.root")) / "checkpoints"
-    out.mkdir(parents=True, exist_ok=True)
     train_cfg = TrainConfig(
         lr=cfg.get_float("train.lr"),
         batch_size=cfg.get_int("train.batch"),
@@ -318,22 +314,17 @@ def cmd_train(cfg: Config) -> int:
         checkpoint_every=cfg.get_int("train.checkpoint_every"),
         valid_fraction=cfg.get_float("train.valid_fraction"),
     )
-    result = train_policy(batch, train_cfg, out, extra_meta=_stamp(cfg))
-    curve_path = out / "loss_curve.csv"
+    result = train_policy(batch, train_cfg, out.dir, extra_meta=out.stamp)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["epoch", "train_loss", "valid_loss"])
     for epoch, train_l, valid_l in result.curve:
         writer.writerow([epoch, repr(train_l), repr(valid_l)])
-    curve_path.write_text(buf.getvalue())
-    files = {path.name: _sha256(path) for _cid, path in result.checkpoints}
-    files["loss_curve.csv"] = _sha256(curve_path)
-    _write_manifest(
-        out, cfg,
-        {"files": files, "checkpoints": [cid for cid, _ in result.checkpoints],
-         "diverged": result.diverged, "epochs_run": len(result.curve)},
-        started,
-    )
+    out.write("loss_curve.csv", buf.getvalue())
+    for _cid, path in result.checkpoints:
+        out.record(path)
+    out.close(checkpoints=[cid for cid, _ in result.checkpoints],
+              diverged=result.diverged, epochs_run=len(result.curve))
     print(f"trained {len(result.curve)} epochs, {len(result.checkpoints)} checkpoints")
     return EXIT_OK if not result.diverged else EXIT_DATA
 
@@ -347,18 +338,20 @@ def _eval_budget(cfg: Config) -> Budget:
 
 
 def cmd_evaluate(cfg: Config) -> int:
-    started = time.perf_counter()
+    out = _StageOutput(cfg, "reports")
     baselines = [name.strip() for name in cfg.get("eval.baselines").split(",") if name.strip()]
     for name in baselines:
         if name not in STANDARD_POLICIES:
             raise ConfigError(f"eval.baselines: unknown policy {name!r}; known policies: "
                               f"{', '.join(sorted(STANDARD_POLICIES))}")
-    ck_dir = Path(cfg.get("run.root")) / "checkpoints"
-    manifest = _read_manifest(ck_dir)
-    _check_stamp(cfg, manifest, "checkpoints")
-    checkpoints = [(cid, ck_dir / f"{cid}.npz") for cid in manifest["checkpoints"]]
-    valid_instances = _load_split(cfg, "valid")
-    test_instances = _load_split(cfg, "test")
+    ck_dir, ck_manifest = _stage_input(cfg, "checkpoints")
+    checkpoints = [(cid, ck_dir / f"{cid}.npz") for cid in ck_manifest["checkpoints"]]
+    ins_dir, ins_manifest = _stage_input(cfg, "instances")
+    valid_instances, test_instances = (
+        [parse_instance((ins_dir / f"{name}.milp").read_text())
+         for name in ins_manifest["splits"][split]]
+        for split in ("valid", "test")
+    )
     budget = _eval_budget(cfg)
     seed = cfg.get_int("run.seed")
     workers = cfg.get_int("eval.workers")
@@ -366,32 +359,29 @@ def cmd_evaluate(cfg: Config) -> int:
     best_id, table = select_best_checkpoint(
         checkpoints, valid_instances, budget, workers=workers, seed=seed
     )
-    out = Path(cfg.get("run.root")) / "reports"
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "checkpoint_table.json").write_text(checkpoint_table_json(best_id, table))
+    out.write("checkpoint_table.json", checkpoint_table_json(best_id, table))
 
     params = load_checkpoint(ck_dir / f"{best_id}.npz")
     policies = [GcnnPolicy(params, name=f"gcnn:{best_id}")]
     policies += [STANDARD_POLICIES[name]() for name in baselines]
-    files = {"checkpoint_table.json": _sha256(out / "checkpoint_table.json")}
     for policy in policies:
         report = evaluate_policy(
             policy, test_instances, budget, workers=workers, seed=seed,
-            fingerprint_extra=_stamp(cfg),
+            fingerprint_extra=out.stamp,
         )
         safe = policy.name.replace(":", "_").replace("/", "_")
-        (out / f"eval_{safe}.json").write_text(report_to_json(report))
-        (out / f"eval_{safe}.csv").write_text(report_to_csv(report))
-        files[f"eval_{safe}.json"] = _sha256(out / f"eval_{safe}.json")
-        files[f"eval_{safe}.csv"] = _sha256(out / f"eval_{safe}.csv")
-    _write_manifest(out, cfg, {"files": files, "best_checkpoint": best_id}, started)
+        out.write(f"eval_{safe}.json", report_to_json(report))
+        out.write(f"eval_{safe}.csv", report_to_csv(report))
+    out.close(best_checkpoint=best_id)
     print(f"best checkpoint {best_id}; evaluated {len(policies)} policies on "
           f"{len(test_instances)} test instances")
     return EXIT_OK
 
 
 def cmd_compare(cfg: Config) -> int:
-    test_instances = _load_split(cfg, "test")
+    ins_dir, ins_manifest = _stage_input(cfg, "instances")
+    test_instances = [parse_instance((ins_dir / f"{name}.milp").read_text())
+                      for name in ins_manifest["splits"]["test"]]
     budget = _eval_budget(cfg)
     seed = cfg.get_int("run.seed")
     policies = [
@@ -417,17 +407,13 @@ def cmd_compare(cfg: Config) -> int:
 
 
 def cmd_report(cfg: Config, plot_data: bool = False) -> int:
-    root = Path(cfg.get("run.root"))
-    reports_dir = root / "reports"
-    manifest = _read_manifest(reports_dir)
-    _check_stamp(cfg, manifest, "reports")
+    reports_dir, manifest = _stage_input(cfg, "reports")
+    root = reports_dir.parent
 
     lines = ["run summary", "===========", f"config hash: {cfg.hash()}"]
     for stage in ("instances", "episodes", "selected", "checkpoints"):
-        stage_dir = root / stage
-        if (stage_dir / "manifest.json").exists():
-            stage_manifest = _read_manifest(stage_dir)
-            _check_stamp(cfg, stage_manifest, stage)
+        if (root / stage / "manifest.json").exists():
+            _stage_dir, stage_manifest = _stage_input(cfg, stage)
             lines.append(f"{stage}: ok (hash {stage_manifest['config_hash']})")
 
     best = manifest.get("best_checkpoint")
@@ -496,34 +482,23 @@ def main(argv: list[str] | None = None) -> int:
         "--plot-data", action="store_true",
         help="emit (clock, dual bound) CSV series per instance",
     )
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
 
     try:
-        cfg = Config.load(args.config, args.set)
+        cfg = Config.load(args.pop("config"), args.pop("set"))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # looked up when called, so that a stage function replaced on the module
+    # (as a tracer wraps it) is the one that runs; the subcommand's own
+    # arguments (``report --plot-data``) are its keyword arguments
+    stage = globals()[f"cmd_{args.pop('command')}"]
     try:
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "collect":
-            return cmd_collect(cfg)
-        if args.command == "select":
-            return cmd_select(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "report":
-            return cmd_report(cfg, plot_data=args.plot_data)
+        return stage(cfg, **args)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -355,3 +356,47 @@ def test_stage_manifests_record_wall_time(tmp_path):
     # evaluation reports stay free of timings: reruns compare them byte for byte
     for path in (root / "reports").glob("eval_*.json"):
         assert "wall_s" not in path.read_text()
+
+
+def test_every_manifest_hashes_what_it_names(tmp_path):
+    """Each of the five stage manifests maps exactly the files its stage
+    hashes to their sha256: instances and episodes by instance name, every
+    other file by its name."""
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **{"family.train_count": 3, "family.valid_count": 2,
+                                  "family.test_count": 2, "train.epochs": 2,
+                                  "train.checkpoint_every": 1})
+    for command in ("generate", "collect", "select", "train", "evaluate", "report"):
+        assert _run(command, ov) == 0, command
+    expected = {
+        "instances": {p.stem: p for p in (root / "instances").glob("*.milp")},
+        "episodes": {p.stem: p for p in (root / "episodes").glob("*.jsonl")},
+        "selected": {"dataset.jsonl": root / "selected" / "dataset.jsonl"},
+        "checkpoints": {p.name: p for p in (root / "checkpoints").iterdir()
+                        if p.name != "manifest.json"},
+        "reports": {p.name: p for p in (root / "reports").iterdir()
+                    if p.name == "checkpoint_table.json"
+                    or (p.name.startswith("eval_") and p.suffix in (".json", ".csv"))},
+    }
+    assert len(expected["instances"]) == 7 and len(expected["episodes"]) == 3
+    assert "loss_curve.csv" in expected["checkpoints"]
+    assert len(expected["checkpoints"]) == 3        # two checkpoints and the loss curve
+    assert len(expected["reports"]) == 5            # the table, gcnn and random
+    for stage, files in expected.items():
+        manifest = json.loads((root / stage / "manifest.json").read_text())
+        assert manifest["files"] == {
+            key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()
+        }, stage
+
+
+def test_main_runs_the_stage_function_the_module_holds(tmp_path, monkeypatch):
+    """``main`` looks the stage function up on the module when it runs, so a
+    function replaced there (as a tracer wraps it) is the one called."""
+    from branchlab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_generate", lambda cfg: calls.append(cfg) or 0)
+    assert main(["--set", f"run.root={tmp_path / 'run'}", "generate"]) == 0
+    (cfg,) = calls
+    assert cfg.get("run.root") == str(tmp_path / "run")
+    assert not (tmp_path / "run").exists()

@@ -35,7 +35,16 @@ results are never compared against stored digests. Probes:
   prenormalisation scales;
 - ``run-root``: every file of a seed-11 run root after all seven CLI stages
   at 16/4/8 instances. A manifest is compared without its ``wall_s``, the
-  stage's wall time.
+  stage's wall time;
+- ``cli-faults``: the exit code and stderr of each CLI failure path, on a
+  run root of the same config at 3/2/2 instances: an unknown config key, an
+  unknown subcommand, ``collect`` with no instances, a config-hash mismatch,
+  an unknown name in ``eval.baselines``, a deleted ``.npz`` before
+  ``select`` and a dataset row pointing at another state before ``train``.
+
+``run-root`` and ``cli-faults`` run in a temporary working directory with a
+relative run root, so that paths in files and messages are the same in both
+trees.
 
 An LP item is the hex of every ``LpSolution`` field. Prints one JSON line
 with, per probe, the equal and differing item counts, the first differing
@@ -46,6 +55,7 @@ item differs (or exists in one tree only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -71,6 +81,8 @@ RUN_ROOT_CONFIG = {
     "select.epochs": "25", "train.epochs": "20", "train.checkpoint_every": "5",
     "eval.max_nodes": "2000", "eval.max_clock": "3000",
 }
+FAULT_CONFIG = dict(RUN_ROOT_CONFIG, **{
+    "family.train_count": "3", "family.valid_count": "2", "family.test_count": "2"})
 LISTED = 20     # differing items named per probe
 STAGES = ("generate", "collect", "select", "train", "evaluate", "compare", "report")
 
@@ -294,6 +306,54 @@ def probe_run_root() -> dict[str, str]:
             os.chdir(cwd)
 
 
+def probe_cli_faults() -> dict[str, str]:
+    from branchlab import cli
+
+    def run(argv, changed=None):
+        config = dict(FAULT_CONFIG, **(changed or {}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([a for k, v in config.items() for a in ("--set", f"{k}={v}")]
+                                + argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, err.getvalue()
+
+    def fault(name, argv, changed=None):
+        items[name] = json.dumps(run(argv, changed))
+
+    items: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            root = Path(FAULT_CONFIG["run.root"])
+            fault("unknown-config-key", ["generate"], {"no.such.key": "1"})
+            fault("unknown-subcommand", ["frobnicate"])
+            fault("collect-without-instances", ["collect"])
+            for stage in ("generate", "collect"):
+                if (code := run([stage])[0]) != 0:
+                    return {f"exit/{stage}": str(code)}
+            fault("config-hash-mismatch", ["select"], {"hybrid.r0": "0.7"})
+            fault("unknown-baseline", ["evaluate"], {"eval.baselines": "random,foo"})
+            npz = sorted((root / "episodes" / "observations").glob("*.npz"))[0]
+            kept = npz.read_bytes()
+            npz.unlink()
+            fault("select-without-npz", ["select"])
+            npz.write_bytes(kept)
+            if (code := run(["select"])[0]) != 0:
+                return {"exit/select": str(code)}
+            dataset = root / "selected" / "dataset.jsonl"
+            rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+            rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
+            dataset.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+            fault("train-on-another-state", ["train"])
+            return items
+        finally:
+            os.chdir(cwd)
+
+
 PROBES = {
     "solve-small": lambda: probe_solves("solve-small"),
     "solve-wide": lambda: probe_solves("solve-wide"),
@@ -305,6 +365,7 @@ PROBES = {
     "lp-cold-dual": lambda: probe_lps("lp-cold-dual"),
     "gcnn": probe_gcnn,
     "run-root": probe_run_root,
+    "cli-faults": probe_cli_faults,
 }
 
 
