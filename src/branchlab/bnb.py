@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import MilpInstance, stable_key
-from .observation import extract_observation, state_digest
+from .observation import extract_observation
 from .rules import BranchingPolicy, PseudocostStore, pc_update
 from .simplex import (
     FEAS_TOL,
@@ -226,7 +226,6 @@ def solve_result_to_json(result: SolveResult) -> str:
         "reward_constant": repr(float(result.reward_constant)),
         "episode": [
             {
-                "obs": tr.digest(),
                 "set": list(tr.cand),
                 "a": tr.action,
                 "r": repr(float(tr.reward)),

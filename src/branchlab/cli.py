@@ -4,23 +4,25 @@
 Artifacts live under the run root. Five stages each write a directory and
 its ``manifest.json``, stamped with (config hash, seed, feature-catalog
 version), holding the stage's wall time as ``wall_s`` and, under ``files``,
-the sha256 of each file the stage hashes:
+the sha256 of each file it writes, keyed by its path in the directory:
 
-- ``generate``: ``instances/``, every ``<instance>.milp``, keyed by instance name;
-- ``collect``: ``episodes/``, every ``<instance>.jsonl``, keyed by instance name;
-- ``select``: ``selected/``, ``dataset.jsonl``;
+- ``generate``: ``instances/``, every ``<instance>.milp``;
+- ``collect``: ``episodes/``, every ``<instance>.jsonl`` and its states,
+  ``observations/<instance>.npz``;
+- ``select``: ``selected/``, ``dataset.jsonl`` and ``envelope_report.json``;
+  its manifest also pins, under ``episodes``, the episodes' ``files`` that
+  it ranked;
 - ``train``: ``checkpoints/``, every checkpoint ``.npz`` and ``loss_curve.csv``;
 - ``evaluate``: ``reports/``, ``checkpoint_table.json`` and every
   ``eval_*.json`` and ``eval_*.csv``.
 
-Two kinds of file are not hashed: ``selected/envelope_report.json``, and the
-episodes' states in ``episodes/observations/<instance>.npz``, which are
-checked against the per-row digests that the hashed ``.jsonl`` carries.
 ``compare`` and ``report`` write into ``reports/`` (``leaderboard.json``;
 ``summary.txt``, a copy of ``loss_curve.csv`` and ``plotdata/``) and write
 no manifest. A stage reads its inputs' manifests through ``_stage_input``,
-which refuses a config-hash mismatch, and writes its own through
-``_StageOutput``. Exit codes: 0 success, 1 usage, 2 data error,
+which refuses a config-hash mismatch and a missing or changed file, and
+writes its own through ``_StageOutput``; ``train`` also refuses episodes
+that differ from those ``select`` pinned. The sha256 values are the run
+root's one integrity check. Exit codes: 0 success, 1 usage, 2 data error,
 3 partial-failure threshold exceeded.
 """
 
@@ -58,17 +60,17 @@ from .evaluation import (
     report_to_json,
     select_best_checkpoint,
 )
-from .gnn import GcnnPolicy, TrainConfig, load_checkpoint, train_policy
+from .gnn import GcnnError, GcnnPolicy, TrainConfig, load_checkpoint, train_policy
 from .instances import (
     InstanceFamilySpec,
     generate_instance,
     parse_instance,
     serialize_instance,
 )
-from .observation import CATALOG_VERSION, state_digest
+from .observation import CATALOG_VERSION
 from .rules import STANDARD_POLICIES, HybridExpertPolicy
 from .selection import EnvelopeConfig, compute_returns, select_top, shift_to_positive, train_envelope
-from .trajectories import read_episode_file, read_states, write_episode_file
+from .trajectories import observations_path, read_episode_file, read_states, write_episode_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,20 +101,29 @@ def _check_stamp(cfg: Config, artifact: dict, what: str) -> None:
         )
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _stage_input(cfg: Config, stage: str, what: str | None = None) -> tuple[Path, dict]:
     """The directory ``stage`` under the run root and its manifest, refused
-    (as ``what``, by default the stage) unless stamped with this config's hash."""
+    (as ``what``, by default the stage) unless stamped with this config's
+    hash and unless every file it names is there with the sha256 it records."""
     directory = Path(cfg.get("run.root")) / stage
     manifest = json.loads((directory / "manifest.json").read_text())
     _check_stamp(cfg, manifest, what or stage)
+    for key, digest in manifest["files"].items():
+        if _sha256(directory / key) != digest:
+            raise ValueError(f"{directory / key}: contents differ from the sha256 "
+                             f"that {directory / 'manifest.json'} records")
     return directory, manifest
 
 
 class _StageOutput:
     """A stage's directory under the run root, created on construction, and
-    its manifest: the stamp, the sha256 of each file written or recorded
-    (under ``key``, by default the file's name), the stage's payload and its
-    wall time since construction as ``wall_s``."""
+    its manifest: the stamp, the sha256 of each file written or recorded,
+    keyed by its path in the directory, the stage's payload and its wall
+    time since construction as ``wall_s``."""
 
     def __init__(self, cfg: Config, stage: str):
         self.started = time.perf_counter()
@@ -121,14 +132,14 @@ class _StageOutput:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, str] = {}
 
-    def write(self, name: str, text: str, key: str | None = None) -> None:
+    def write(self, name: str, text: str) -> None:
         path = self.dir / name
         path.write_text(text)
-        self.record(path, key)
+        self.files[name] = _sha256(path)
 
-    def record(self, path: Path, key: str | None = None) -> None:
+    def record(self, path: Path) -> None:
         """Hash a file that another function wrote."""
-        self.files[key or path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        self.files[path.relative_to(self.dir).as_posix()] = _sha256(path)
 
     def close(self, **payload) -> None:
         manifest = dict(self.stamp, files=self.files, **payload)
@@ -158,7 +169,7 @@ def cmd_generate(cfg: Config) -> int:
                 name=f"{split}_{i:04d}",
             )
             inst = generate_instance(spec)
-            out.write(f"{inst.name}.milp", serialize_instance(inst), key=inst.name)
+            out.write(f"{inst.name}.milp", serialize_instance(inst))
             names.append(inst.name)
         splits[split] = names
     out.close(splits=splits)
@@ -196,7 +207,9 @@ def cmd_collect(cfg: Config) -> int:
         path = out.dir / f"{inst.name}.jsonl"
         provenance = dict(out.stamp, rule_counts=policy.rule_counts)
         write_episode_file(path, result.episode, provenance=provenance)
-        out.record(path, key=inst.name)
+        out.record(path)
+        if result.episode.transitions:
+            out.record(observations_path(path))
         counts[inst.name] = len(result.episode.transitions)
     out.close(
         transition_counts=counts,
@@ -204,7 +217,7 @@ def cmd_collect(cfg: Config) -> int:
         failed=failures,
     )
     print(
-        f"collected {len(out.files)} episodes, {sum(counts.values())} transitions, "
+        f"collected {len(counts)} episodes, {sum(counts.values())} transitions, "
         f"{len(failures)} failures"
     )
     if instances and len(failures) > 0.10 * len(instances):
@@ -215,8 +228,8 @@ def cmd_collect(cfg: Config) -> int:
 def cmd_select(cfg: Config) -> int:
     out = _StageOutput(cfg, "selected")
     ep_dir, ep_manifest = _stage_input(cfg, "episodes")
-    episodes = [read_episode_file(ep_dir / f"{name}.jsonl")
-                for name in sorted(ep_manifest["files"])]
+    episodes = [read_episode_file(ep_dir / key)
+                for key in sorted(ep_manifest["files"]) if key.endswith(".jsonl")]
     returns = compute_returns(episodes, cfg.get_float("select.gamma"))
     if not returns.entries:
         raise ConfigError("no transitions collected; nothing to select from")
@@ -239,7 +252,6 @@ def cmd_select(cfg: Config) -> int:
         lines.append(
             json.dumps(
                 {
-                    "obs": state_digest(e.obs, e.cand),
                     "set": list(e.cand),
                     "a": e.action,
                     "G": e.G,
@@ -276,31 +288,28 @@ def cmd_select(cfg: Config) -> int:
             ],
         }
     )
-    (out.dir / "envelope_report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
-    out.close(selected=len(selected), total=len(returns.entries))
+    out.write("envelope_report.json", json.dumps(report, sort_keys=True, indent=1))
+    out.close(selected=len(selected), total=len(returns.entries), episodes=ep_manifest["files"])
     print(f"selected {len(selected)} of {len(returns.entries)} transitions (p={env_cfg.p})")
     return EXIT_OK
 
 
 def _load_dataset(cfg: Config):
-    directory, _manifest = _stage_input(cfg, "selected", "selected dataset")
-    lines = (directory / "dataset.jsonl").read_text().splitlines()
-    rows = [json.loads(line) for line in lines]
-    # each episode's states are read once; only the selected ones are checked
-    states = {
-        name: read_states(directory.parent / "episodes" / f"{name}.jsonl")
-        for name in sorted({row["episode"] for row in rows})
-    }
-    batch = []
-    for row in rows:
-        ss, t, cand = states[row["episode"]], int(row["t"]), tuple(row["set"])
-        if not (0 <= t < len(ss) and state_digest(ss[t], cand) == row["obs"]):
-            raise ValueError(
-                f"dataset row for episode {row['episode']!r}, transition {t}: "
-                "the episode's state does not match the row's digest"
-            )
-        batch.append((ss[t], cand, int(row["a"])))
-    return batch
+    """The selected (state, candidate set, action) triples, read from the
+    episodes that ``select`` ranked and no others."""
+    directory, manifest = _stage_input(cfg, "selected", "selected dataset")
+    ep_dir, ep_manifest = _stage_input(cfg, "episodes")
+    pinned, files = manifest.get("episodes", {}), ep_manifest["files"]
+    changed = sorted(key for key in pinned.keys() | files.keys()
+                     if pinned.get(key) != files.get(key))
+    if changed:
+        raise ValueError(f"{ep_dir / changed[0]}: differs from the episodes that "
+                         f"{directory / 'manifest.json'} pins ({len(changed)} files differ)")
+    rows = [json.loads(line) for line in (directory / "dataset.jsonl").read_text().splitlines()]
+    states = {name: read_states(ep_dir / f"{name}.jsonl")
+              for name in sorted({row["episode"] for row in rows})}
+    return [(states[row["episode"]][int(row["t"])], tuple(row["set"]), int(row["a"]))
+            for row in rows]
 
 
 def cmd_train(cfg: Config) -> int:
@@ -496,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     stage = globals()[f"cmd_{args.pop('command')}"]
     try:
         return stage(cfg, **args)
-    except (ConfigError, ValueError, OSError, KeyError) as exc:
+    except (ConfigError, ValueError, OSError, KeyError, GcnnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .bnb import Budget, solve
-from .gnn import GcnnPolicy, Pieces, load_checkpoint, policy_loss
+from .gnn import GcnnError, GcnnPolicy, Pieces, load_checkpoint, policy_loss
 from .rules import BranchingPolicy
 
 
@@ -203,7 +203,8 @@ def select_best_checkpoint(
     ``valid_batch`` (obs, cand, action) triples give each checkpoint's
     cross-entropy loss; otherwise the loss stored at save time
     is reported. Ties go to the later checkpoint, and a checkpoint that
-    solved no instance ranks below every other. Raises if none loads.
+    solved no instance ranks below every other. Raises ``GcnnError`` if none
+    loads.
     """
     if not checkpoints:
         raise ValueError("no checkpoints given")
@@ -231,7 +232,8 @@ def select_best_checkpoint(
             CheckpointEntry(cid, loss, agg["mean_reward"], agg["mean_integral"], report)
         )
     if all(e.error for e in table):
-        raise RuntimeError("every checkpoint failed to load")
+        raise GcnnError(f"every checkpoint failed to load; {table[0].checkpoint_id}: "
+                        f"{table[0].error}")
     best = None
     for entry in table:
         if entry.error:

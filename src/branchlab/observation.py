@@ -1,4 +1,4 @@
-"""Bipartite-graph state extraction and the state digest used to index states.
+"""Bipartite-graph state extraction.
 
 The feature catalog is fixed and versioned; episode files and model
 checkpoints record ``CATALOG_VERSION`` so datasets stay portable. Variable
@@ -24,7 +24,6 @@ Edges carry the row-normalized coefficient, one per structural nonzero.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ from .simplex import FEAS_TOL, LpSolution, LpStatus
 CATALOG_VERSION = 1
 VAR_FEATURES = 12
 CONS_FEATURES = 5
-
-_QUANT = 1e-9   # canonical serialization quantizes reals to this grid
 
 
 @dataclass(frozen=True)
@@ -166,28 +163,3 @@ def _freeze(obs: BipartiteObservation) -> None:
     for a in (obs.var_features, obs.cons_features, obs.edge_row, obs.edge_col, obs.edge_val):
         a.flags.writeable = False
 
-
-def canonical_bytes(obs: BipartiteObservation, candidates: tuple[int, ...] | list[int]) -> bytes:
-    """Canonical serialization: fixed field order, reals quantized to 1e-9.
-
-    Two states serialize identically iff their quantized features, edge lists
-    and candidate sets agree, independent of process or platform.
-    """
-    parts = [
-        np.array(
-            [CATALOG_VERSION, obs.num_vars, obs.num_cons, obs.num_edges, len(candidates)],
-            dtype="<i8",
-        ).tobytes()
-    ]
-    for arr in (obs.var_features, obs.cons_features, obs.edge_val):
-        q = np.rint(np.asarray(arr, dtype=np.float64) / _QUANT).astype("<i8")
-        parts.append(q.tobytes())
-    parts.append(obs.edge_row.astype("<i8").tobytes())
-    parts.append(obs.edge_col.astype("<i8").tobytes())
-    parts.append(np.asarray(sorted(int(c) for c in candidates), dtype="<i8").tobytes())
-    return b"".join(parts)
-
-
-def state_digest(obs: BipartiteObservation, candidates: tuple[int, ...] | list[int]) -> str:
-    """128-bit hex digest of the canonical serialization of (obs, candidates)."""
-    return hashlib.blake2b(canonical_bytes(obs, candidates), digest_size=16).hexdigest()

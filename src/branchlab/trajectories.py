@@ -8,17 +8,18 @@ successor.
 
 An episode is stored as two files. ``<name>.jsonl`` holds a header line with
 provenance and the dual-bound trace, then one row per decision with the
-state digest (``state_digest``), candidate set, action, reward and clock.
-``observations/<name>.npz`` holds the states: ``var`` (T, n, 12) and
-``cons`` (T, m, 5), one slice per decision, and the edge list
-``edge_row``/``edge_col``/``edge_val`` once, because every state of one
-instance shares it. An episode with no decisions has no ``.npz``. Rows
-written before the format dropped next-state links also carry
-``next_obs``/``next_set``/``d``; the reader ignores them.
+candidate set, action, reward and clock. ``observations/<name>.npz`` holds
+the states: ``var`` (T, n, 12) and ``cons`` (T, m, 5), one slice per
+decision, and the edge list ``edge_row``/``edge_col``/``edge_val`` once,
+because every state of one instance shares it. An episode with no
+decisions has no ``.npz``. Rows written by earlier formats also carry a
+state digest ``obs`` and next-state links ``next_obs``/``next_set``/``d``;
+the reader ignores them.
 
-``read_episode_file`` reads both files and checks every state against its
-row's digest; ``read_states`` reads the states alone, for a reader that
-checks only the states it uses.
+``read_episode_file`` reads both files and checks their structure;
+``read_states`` reads the states alone. Neither checks a file's content
+against what was written: the CLI's stage manifests record each file's
+sha256 and refuse a changed one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .observation import BipartiteObservation, CATALOG_VERSION, state_digest
+from .observation import BipartiteObservation, CATALOG_VERSION
 
 
 @dataclass
@@ -41,9 +42,6 @@ class Transition:
     action: int
     reward: float
     clock: float = 0.0
-
-    def digest(self) -> str:
-        return state_digest(self.obs, self.cand)
 
 
 @dataclass
@@ -56,9 +54,8 @@ class Episode:
 
 
 class ChainError(ValueError):
-    """An episode row does not fit its episode: its stored state differs from
-    its digest, its action is outside its candidate set, or its reward is
-    not finite."""
+    """An episode row does not fit its episode: its action is outside its
+    candidate set, or its reward is not finite."""
 
     def __init__(self, episode: str, position: int, message: str):
         super().__init__(f"episode {episode!r}, transition {position}: {message}")
@@ -89,7 +86,6 @@ def write_episode_file(path: str | Path, episode: Episode, provenance: dict | No
     lines = [json.dumps(header, sort_keys=True)]
     for tr in episode.transitions:
         row = {
-            "obs": tr.digest(),
             "set": list(tr.cand),
             "a": tr.action,
             "r": tr.reward,
@@ -117,7 +113,7 @@ def write_episode_file(path: str | Path, episode: Episode, provenance: dict | No
 
 def read_states(path: str | Path) -> list[BipartiteObservation]:
     """The states stored for the episode file at ``path``, in decision order,
-    as read-only views. Nothing here checks them against the episode's rows."""
+    as read-only views."""
     npz = observations_path(path)
     try:
         with np.load(npz) as z:
@@ -132,10 +128,11 @@ def read_states(path: str | Path) -> list[BipartiteObservation]:
 
 
 def read_episode_file(path: str | Path) -> Episode:
-    """Read an episode and its states. The ``.npz`` must hold one state per
-    row, each state must match its row's digest, each action must be in its
-    row's candidate set and each reward must be finite. A dropped or moved
-    row fails the count or the digest check."""
+    """Read an episode and its states. The header must carry this catalog
+    version, the ``.npz`` must hold one state per row, each action must be in
+    its row's candidate set and each reward must be finite. Whether the files
+    hold what was written (no row dropped, moved or edited) is the job of the
+    sha256 that the stage manifest records for each."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty episode file")
@@ -158,8 +155,6 @@ def read_episode_file(path: str | Path) -> Episode:
         raise ValueError(f"{observations_path(path)}: holds {len(states)} states "
                          f"for {len(rows)} transitions")
     for t, row in enumerate(rows):
-        if state_digest(states[t], row["set"]) != row["obs"]:
-            raise ChainError(episode.instance, t, "stored state does not match its digest")
         tr = Transition(
             obs=states[t],
             cand=tuple(row["set"]),

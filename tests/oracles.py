@@ -29,9 +29,13 @@ def lp_vertex_optimum(c, A, b, l, u, tol=1e-9):
 
     Bounds must be finite (the polytope is then compact, so an optimum, if the
     region is nonempty, is attained at a vertex). Returns None when infeasible.
+    A vertex meets row i within ``tol * (|A_i| |x| + |b_i| + 1)``, a margin
+    relative to the row's own magnitudes: on badly scaled columns the
+    rounding of ``A x`` alone exceeds any absolute margin.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).reshape(len(b), len(c))
+    b_arr = np.asarray(b, dtype=float)
     n = len(c)
     rows = [A[i] for i in range(len(b))]
     rhs = list(b)
@@ -49,7 +53,7 @@ def lp_vertex_optimum(c, A, b, l, u, tol=1e-9):
             continue
         x = np.linalg.solve(M, r)
         if (
-            np.all(A @ x <= np.asarray(b) + tol)
+            np.all(A @ x <= b_arr + tol * (np.abs(A) @ np.abs(x) + np.abs(b_arr) + 1))
             and np.all(x >= np.asarray(l) - tol)
             and np.all(x <= np.asarray(u) + tol)
         ):

@@ -230,6 +230,10 @@ def test_determinism_bit_for_bit():
     a = solve(inst, STANDARD_POLICIES["hybrid-expert"](), Budget(max_nodes=80), seed=9)
     b = solve(inst, STANDARD_POLICIES["hybrid-expert"](), Budget(max_nodes=80), seed=9)
     assert solve_result_to_json(a) == solve_result_to_json(b)
+    assert a.episode.transitions
+    for ta, tb in zip(a.episode.transitions, b.episode.transitions, strict=True):
+        for name in ("var_features", "cons_features", "edge_row", "edge_col", "edge_val"):
+            assert np.array_equal(getattr(ta.obs, name), getattr(tb.obs, name)), name
 
 
 def test_exactness_against_brute_force_sample():

@@ -56,7 +56,10 @@ def test_full_pipeline_smoke(tmp_path):
 
     assert _run("collect", ov) == 0
     episodes = json.loads((root / "episodes" / "manifest.json").read_text())
-    assert len(episodes["files"]) == 10
+    assert sorted(episodes["files"]) == sorted(
+        [f"train_{i:04d}.jsonl" for i in range(10)]
+        + [f"observations/{name}.npz" for name, count in episodes["transition_counts"].items()
+           if count])
     assert episodes["total_transitions"] == sum(episodes["transition_counts"].values())
     assert episodes["total_transitions"] > 0
 
@@ -248,8 +251,8 @@ def test_episode_headers_count_expert_rules(tmp_path):
     assert _run("generate", ov) == 0
     assert _run("collect", ov) == 0
     manifest = json.loads((root / "episodes" / "manifest.json").read_text())
-    for name in manifest["files"]:
-        header = json.loads((root / "episodes" / f"{name}.jsonl").read_text().splitlines()[0])
+    for key in (key for key in manifest["files"] if key.endswith(".jsonl")):
+        header = json.loads((root / "episodes" / key).read_text().splitlines()[0])
         # each branching decision draws exactly one of the two rules
         counts = header["rule_counts"]
         assert sorted(counts) == ["ac", "pc"]
@@ -276,33 +279,14 @@ def test_broken_episode_artifacts_are_data_errors(tmp_path, capsys):
         path.write_bytes(data)
 
     dataset = root / "selected" / "dataset.jsonl"
-    rows = [json.loads(line) for line in dataset.read_text().splitlines()]
-    rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
-    dataset.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    _move_row(dataset)
     assert _run("train", ov) == 2
-    assert "does not match the row's digest" in capsys.readouterr().err
+    assert f"{dataset}: contents differ from the sha256" in capsys.readouterr().err
 
     episode = root / "episodes" / f"{states[0].stem}.jsonl"
     episode.write_text("")
     assert _run("select", ov) == 2
-    assert "empty episode file" in capsys.readouterr().err
-
-
-def test_train_digests_only_the_selected_states(tmp_path, monkeypatch):
-    from branchlab import cli, trajectories
-
-    root = tmp_path / "run"
-    ov = _base_overrides(root, **{"family.train_count": 3, "train.epochs": 1})
-    for command in ("generate", "collect", "select"):
-        assert _run(command, ov) == 0, command
-    calls = []
-    for module in (cli, trajectories):
-        digest = module.state_digest
-        monkeypatch.setattr(module, "state_digest",
-                            lambda obs, cand, digest=digest: calls.append(1) or digest(obs, cand))
-    assert _run("train", ov) == 0
-    rows = (root / "selected" / "dataset.jsonl").read_text().splitlines()
-    assert len(calls) == len(rows)
+    assert f"{episode}: contents differ from the sha256" in capsys.readouterr().err
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -360,8 +344,8 @@ def test_stage_manifests_record_wall_time(tmp_path):
 
 def test_every_manifest_hashes_what_it_names(tmp_path):
     """Each of the five stage manifests maps exactly the files its stage
-    hashes to their sha256: instances and episodes by instance name, every
-    other file by its name."""
+    writes, keyed by their path in the stage directory, to their sha256, and
+    ``select``'s manifest pins the episodes' files it ranked."""
     root = tmp_path / "run"
     ov = _base_overrides(root, **{"family.train_count": 3, "family.valid_count": 2,
                                   "family.test_count": 2, "train.epochs": 2,
@@ -369,16 +353,19 @@ def test_every_manifest_hashes_what_it_names(tmp_path):
     for command in ("generate", "collect", "select", "train", "evaluate", "report"):
         assert _run(command, ov) == 0, command
     expected = {
-        "instances": {p.stem: p for p in (root / "instances").glob("*.milp")},
-        "episodes": {p.stem: p for p in (root / "episodes").glob("*.jsonl")},
-        "selected": {"dataset.jsonl": root / "selected" / "dataset.jsonl"},
+        "instances": {p.name: p for p in (root / "instances").glob("*.milp")},
+        "episodes": {str(p.relative_to(root / "episodes")): p
+                     for p in (root / "episodes").glob("**/*.*") if p.name != "manifest.json"},
+        "selected": {name: root / "selected" / name
+                     for name in ("dataset.jsonl", "envelope_report.json")},
         "checkpoints": {p.name: p for p in (root / "checkpoints").iterdir()
                         if p.name != "manifest.json"},
         "reports": {p.name: p for p in (root / "reports").iterdir()
                     if p.name == "checkpoint_table.json"
                     or (p.name.startswith("eval_") and p.suffix in (".json", ".csv"))},
     }
-    assert len(expected["instances"]) == 7 and len(expected["episodes"]) == 3
+    assert len(expected["instances"]) == 7 and len(expected["episodes"]) == 6
+    assert "observations/train_0000.npz" in expected["episodes"]
     assert "loss_curve.csv" in expected["checkpoints"]
     assert len(expected["checkpoints"]) == 3        # two checkpoints and the loss curve
     assert len(expected["reports"]) == 5            # the table, gcnn and random
@@ -387,6 +374,8 @@ def test_every_manifest_hashes_what_it_names(tmp_path):
         assert manifest["files"] == {
             key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()
         }, stage
+    episodes = json.loads((root / "episodes" / "manifest.json").read_text())["files"]
+    assert json.loads((root / "selected" / "manifest.json").read_text())["episodes"] == episodes
 
 
 def test_main_runs_the_stage_function_the_module_holds(tmp_path, monkeypatch):
@@ -400,3 +389,108 @@ def test_main_runs_the_stage_function_the_module_holds(tmp_path, monkeypatch):
     (cfg,) = calls
     assert cfg.get("run.root") == str(tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+_SMALL = {"family.train_count": 3, "family.valid_count": 2, "family.test_count": 2,
+          "train.epochs": 2, "train.checkpoint_every": 1}
+
+
+@pytest.fixture(scope="module")
+def trained_root(tmp_path_factory):
+    """A run root after ``train``, which each test below leaves as it found it."""
+    root = tmp_path_factory.mktemp("trained") / "run"
+    ov = _base_overrides(root, **_SMALL)
+    for command in ("generate", "collect", "select", "train"):
+        assert _run(command, ov) == 0, command
+    return root, ov
+
+
+def _edit_milp(path):
+    """Halve row 0's right-hand side (``ROW <i> <rhs> ...``)."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("ROW 0 "))
+    fields = lines[i].split(" ")
+    fields[2] = repr(float(fields[2]) / 2)
+    lines[i] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_arrays(path, name):
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays[name].flat[0] += 0.5
+    np.savez(path, **arrays)
+
+
+def _move_row(path):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("relative, edit, stage", [
+    ("instances/train_0000.milp", _edit_milp, "collect"),
+    ("episodes/observations/train_0000.npz", lambda p: _edit_arrays(p, "var"), "select"),
+    ("episodes/observations/train_0000.npz", lambda p: _edit_arrays(p, "cons"), "train"),
+    ("selected/dataset.jsonl", _move_row, "train"),
+    ("checkpoints/ckpt_0001.npz", lambda p: _edit_arrays(p, "pol_b"), "evaluate"),
+], ids=["milp-before-collect", "npz-before-select", "npz-before-train",
+        "moved-row-before-train", "checkpoint-before-evaluate"])
+def test_changed_file_is_refused_by_the_next_stage(trained_root, capsys, relative, edit, stage):
+    """A file changed after its stage wrote it, though still well formed, is
+    a data error naming the file in every stage that reads it."""
+    root, ov = trained_root
+    path = root / relative
+    kept = path.read_bytes()
+    edit(path)
+    assert path.read_bytes() != kept
+    capsys.readouterr()
+    try:
+        assert _run(stage, ov) == 2
+        manifest = root / relative.split("/")[0] / "manifest.json"
+        assert (f"error: {path}: contents differ from the sha256 that {manifest} records"
+                in capsys.readouterr().err)
+    finally:
+        path.write_bytes(kept)
+
+
+def test_episodes_collected_after_select_are_refused_by_train(tmp_path, monkeypatch, capsys):
+    """``train`` reads states from the episodes that ``select`` ranked and
+    pinned; episodes collected again since, with a valid manifest of their
+    own, are a data error."""
+    from branchlab import cli
+
+    root = tmp_path / "run"
+    ov = _base_overrides(root, **_SMALL)
+    for command in ("generate", "collect", "select"):
+        assert _run(command, ov) == 0, command
+    pinned = json.loads((root / "selected" / "manifest.json").read_text())["episodes"]
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda inst, policy, budget, seed:
+                        solve(inst, policy, budget, seed=seed + 1))
+    assert _run("collect", ov) == 0
+    files = json.loads((root / "episodes" / "manifest.json").read_text())["files"]
+    changed = sorted(key for key in files if files[key] != pinned.get(key))
+    assert changed
+    capsys.readouterr()
+    assert _run("train", ov) == 2
+    assert (f"error: {root / 'episodes' / changed[0]}: differs from the episodes that "
+            f"{root / 'selected' / 'manifest.json'} pins") in capsys.readouterr().err
+
+
+def test_no_loadable_checkpoint_is_a_data_error(trained_root, monkeypatch, capsys):
+    """Checkpoints whose bytes match their manifest but none of which loads
+    end ``evaluate`` with exit 2, not a traceback."""
+    from branchlab import evaluation
+    from branchlab.gnn import GcnnError
+
+    def refuse(path):
+        raise GcnnError(f"cannot load {path}")
+
+    root, ov = trained_root
+    monkeypatch.setattr(evaluation, "load_checkpoint", refuse)
+    capsys.readouterr()
+    assert _run("evaluate", ov) == 2
+    err = capsys.readouterr().err
+    assert "error: every checkpoint failed to load; ckpt_0001: GcnnError: cannot load" in err
+    assert not (root / "reports" / "checkpoint_table.json").exists()

@@ -855,6 +855,26 @@ def test_drifting_pivots_refactorize(monkeypatch):
     assert drifted >= 5, drifted
 
 
+def test_badly_scaled_columns_match_the_row_relative_oracle():
+    """With the generator of ``test_drifting_pivots_refactorize`` but columns
+    scaled by 1e6 to 1e8, every cold solve is optimal at the enumerated
+    optimum. The oracle's row margin must be relative here: with ``A x <=
+    b + 1e-9`` it rejected true vertices and put 13 of these optima above
+    the solver's."""
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 5))
+        A = np.round(rng.normal(0, 1, (m, n)), 3) * 10.0 ** rng.uniform(6, 8, n)
+        b = np.round(rng.uniform(0, 2, m), 2)
+        lo, up = np.zeros(n), rng.integers(1, 5, n).astype(float)
+        c = -rng.integers(1, 5, n).astype(float)
+        sol = SimplexSolver(make_instance(f"scaled{k}", c, A, b, lo, up, n)).solve()
+        assert sol.status is LpStatus.OPTIMAL, k
+        assert sol.objective == pytest.approx(lp_vertex_optimum(c, A, b, lo, up),
+                                              rel=1e-6, abs=1e-6), k
+
+
 def _violated_start_lp(rng, k):
     """A random LP with finite boxes whose slack basis violates at least one
     row (the structurals start at their lower bounds). A third have costs

@@ -36,11 +36,15 @@ results are never compared against stored digests. Probes:
 - ``run-root``: every file of a seed-11 run root after all seven CLI stages
   at 16/4/8 instances. A manifest is compared without its ``wall_s``, the
   stage's wall time;
-- ``cli-faults``: the exit code and stderr of each CLI failure path, on a
-  run root of the same config at 3/2/2 instances: an unknown config key, an
-  unknown subcommand, ``collect`` with no instances, a config-hash mismatch,
-  an unknown name in ``eval.baselines``, a deleted ``.npz`` before
-  ``select`` and a dataset row pointing at another state before ``train``.
+- ``cli-faults``: the exit code and stderr (or the exception that escaped
+  ``main``) of each CLI failure path, on a run root of the same config at
+  3/2/2 instances: an unknown config key, an unknown subcommand, ``collect``
+  with no instances, an edited ``.milp`` before ``collect``, a config-hash
+  mismatch, an unknown name in ``eval.baselines``, a deleted ``.npz`` and an
+  edited one before ``select``, a dataset row pointing at another state
+  before ``train``, an edited checkpoint before ``evaluate``, and
+  ``evaluate`` when no checkpoint loads. Each changed file is restored
+  before the next case.
 
 ``run-root`` and ``cli-faults`` run in a temporary working directory with a
 relative run root, so that paths in files and messages are the same in both
@@ -318,10 +322,35 @@ def probe_cli_faults() -> dict[str, str]:
                                 + argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:    # an escaped exception is a fault's outcome too
+                code = f"raised {type(exc).__name__}: {exc}"
         return code, err.getvalue()
 
     def fault(name, argv, changed=None):
         items[name] = json.dumps(run(argv, changed))
+
+    def tampered(name, argv, path, edit):
+        """``fault`` with ``path`` edited by ``edit``, restored afterwards."""
+        kept = path.read_bytes()
+        edit(path)
+        try:
+            fault(name, argv)
+        finally:
+            path.write_bytes(kept)
+
+    def bump(path, key):
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[key].flat[0] += 0.5
+        np.savez(path, **arrays)
+
+    def halve_rhs(path):
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("ROW 0 "))
+        fields = lines[i].split(" ")
+        fields[2] = repr(float(fields[2]) / 2)
+        lines[i] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
 
     items: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -332,9 +361,12 @@ def probe_cli_faults() -> dict[str, str]:
             fault("unknown-config-key", ["generate"], {"no.such.key": "1"})
             fault("unknown-subcommand", ["frobnicate"])
             fault("collect-without-instances", ["collect"])
-            for stage in ("generate", "collect"):
-                if (code := run([stage])[0]) != 0:
-                    return {f"exit/{stage}": str(code)}
+            if (code := run(["generate"])[0]) != 0:
+                return {"exit/generate": str(code)}
+            tampered("collect-on-edited-milp", ["collect"],
+                     root / "instances" / "train_0000.milp", halve_rhs)
+            if (code := run(["collect"])[0]) != 0:
+                return {"exit/collect": str(code)}
             fault("config-hash-mismatch", ["select"], {"hybrid.r0": "0.7"})
             fault("unknown-baseline", ["evaluate"], {"eval.baselines": "random,foo"})
             npz = sorted((root / "episodes" / "observations").glob("*.npz"))[0]
@@ -342,13 +374,34 @@ def probe_cli_faults() -> dict[str, str]:
             npz.unlink()
             fault("select-without-npz", ["select"])
             npz.write_bytes(kept)
+            tampered("select-on-edited-npz", ["select"], npz, lambda p: bump(p, "var"))
             if (code := run(["select"])[0]) != 0:
                 return {"exit/select": str(code)}
-            dataset = root / "selected" / "dataset.jsonl"
-            rows = [json.loads(line) for line in dataset.read_text().splitlines()]
-            rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
-            dataset.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-            fault("train-on-another-state", ["train"])
+
+            def move_row(path):
+                rows = [json.loads(line) for line in path.read_text().splitlines()]
+                rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
+                path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+            tampered("train-on-another-state", ["train"], root / "selected" / "dataset.jsonl",
+                     move_row)
+            if (code := run(["train"])[0]) != 0:
+                return {"exit/train": str(code)}
+            checkpoint = sorted((root / "checkpoints").glob("*.npz"))[0]
+            tampered("evaluate-on-edited-checkpoint", ["evaluate"], checkpoint,
+                     lambda p: bump(p, "pol_b"))
+
+            from branchlab import evaluation
+            from branchlab.gnn import GcnnError
+
+            def refuse(path):
+                raise GcnnError(f"cannot load {path}")
+
+            load, evaluation.load_checkpoint = evaluation.load_checkpoint, refuse
+            try:
+                fault("evaluate-without-loadable-checkpoint", ["evaluate"])
+            finally:
+                evaluation.load_checkpoint = load
             return items
         finally:
             os.chdir(cwd)
