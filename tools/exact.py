@@ -352,6 +352,11 @@ def probe_cli_faults() -> dict[str, str]:
         lines[i] = " ".join(fields)
         path.write_text("\n".join(lines) + "\n")
 
+    def move_row(path):
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
     items: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -370,19 +375,10 @@ def probe_cli_faults() -> dict[str, str]:
             fault("config-hash-mismatch", ["select"], {"hybrid.r0": "0.7"})
             fault("unknown-baseline", ["evaluate"], {"eval.baselines": "random,foo"})
             npz = sorted((root / "episodes" / "observations").glob("*.npz"))[0]
-            kept = npz.read_bytes()
-            npz.unlink()
-            fault("select-without-npz", ["select"])
-            npz.write_bytes(kept)
+            tampered("select-without-npz", ["select"], npz, Path.unlink)
             tampered("select-on-edited-npz", ["select"], npz, lambda p: bump(p, "var"))
             if (code := run(["select"])[0]) != 0:
                 return {"exit/select": str(code)}
-
-            def move_row(path):
-                rows = [json.loads(line) for line in path.read_text().splitlines()]
-                rows[0]["t"] = 1 - min(rows[0]["t"], 1)     # another state of the same episode
-                path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-
             tampered("train-on-another-state", ["train"], root / "selected" / "dataset.jsonl",
                      move_row)
             if (code := run(["train"])[0]) != 0:
