@@ -1,5 +1,5 @@
 """End-to-end pipeline CLI: generate -> collect -> select -> train -> evaluate
--> compare -> report.
+-> report.
 
 Artifacts live under the run root. Five stages each write a directory and
 its ``manifest.json``, stamped with (config hash, seed, feature-catalog
@@ -16,14 +16,15 @@ the sha256 of each file it writes, keyed by its path in the directory:
 - ``evaluate``: ``reports/``, ``checkpoint_table.json`` and every
   ``eval_*.json`` and ``eval_*.csv``.
 
-``compare`` and ``report`` write into ``reports/`` (``leaderboard.json``;
-``summary.txt``, a copy of ``loss_curve.csv`` and ``plotdata/``) and write
-no manifest. A stage reads its inputs' manifests through ``_stage_input``,
-which refuses a config-hash mismatch and a missing or changed file, and
-writes its own through ``_StageOutput``; ``train`` also refuses episodes
-that differ from those ``select`` pinned. The sha256 values are the run
-root's one integrity check. Exit codes: 0 success, 1 usage, 2 data error,
-3 partial-failure threshold exceeded.
+``report`` writes into ``reports/`` (``summary.txt``, which ranks the
+``eval_*.json`` reports that the manifest names by mean reward, a copy of
+``loss_curve.csv`` and ``plotdata/``) and writes no manifest. A stage reads
+its inputs' manifests through ``_stage_input``, which refuses a config-hash
+mismatch and a missing or changed file, and writes its own through
+``_StageOutput``; ``train`` also refuses episodes that differ from those
+``select`` pinned. The sha256 values are the run root's one integrity
+check. Exit codes: 0 success, 1 usage, 2 data error, 3 partial-failure
+threshold exceeded.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ from .bnb import Budget, solve
 from .config import Config, ConfigError
 from .evaluation import (
     checkpoint_table_json,
-    compare_policies,
     evaluate_policy,
     paired_sign_test,
     plot_data_csv,
     report_from_json,
     report_to_csv,
     report_to_json,
+    reward_rank,
     select_best_checkpoint,
 )
 from .gnn import GcnnError, GcnnPolicy, TrainConfig, load_checkpoint, train_policy
@@ -338,14 +339,6 @@ def cmd_train(cfg: Config) -> int:
     return EXIT_OK if not result.diverged else EXIT_DATA
 
 
-def _eval_budget(cfg: Config) -> Budget:
-    return Budget(
-        max_nodes=cfg.get_int("eval.max_nodes"),
-        max_clock=cfg.get_float("eval.max_clock"),
-        clock_mode=cfg.get("eval.clock_mode"),
-    )
-
-
 def cmd_evaluate(cfg: Config) -> int:
     out = _StageOutput(cfg, "reports")
     baselines = [name.strip() for name in cfg.get("eval.baselines").split(",") if name.strip()]
@@ -361,7 +354,11 @@ def cmd_evaluate(cfg: Config) -> int:
          for name in ins_manifest["splits"][split]]
         for split in ("valid", "test")
     )
-    budget = _eval_budget(cfg)
+    budget = Budget(
+        max_nodes=cfg.get_int("eval.max_nodes"),
+        max_clock=cfg.get_float("eval.max_clock"),
+        clock_mode=cfg.get("eval.clock_mode"),
+    )
     seed = cfg.get_int("run.seed")
     workers = cfg.get_int("eval.workers")
 
@@ -384,34 +381,6 @@ def cmd_evaluate(cfg: Config) -> int:
     out.close(best_checkpoint=best_id)
     print(f"best checkpoint {best_id}; evaluated {len(policies)} policies on "
           f"{len(test_instances)} test instances")
-    return EXIT_OK
-
-
-def cmd_compare(cfg: Config) -> int:
-    ins_dir, ins_manifest = _stage_input(cfg, "instances")
-    test_instances = [parse_instance((ins_dir / f"{name}.milp").read_text())
-                      for name in ins_manifest["splits"]["test"]]
-    budget = _eval_budget(cfg)
-    seed = cfg.get_int("run.seed")
-    policies = [
-        STANDARD_POLICIES[name]()
-        for name in ("most-infeasible", "pseudocost", "strong-branching",
-                     "active-constraint", "random")
-    ]
-    rows = compare_policies(
-        policies, test_instances, budget,
-        workers=cfg.get_int("eval.workers"), seed=seed,
-    )
-    out = Path(cfg.get("run.root")) / "reports"
-    out.mkdir(parents=True, exist_ok=True)
-    payload = dict(_stamp(cfg))
-    payload["leaderboard"] = [
-        {k: v for k, v in row.items() if k != "report"} for row in rows
-    ]
-    (out / "leaderboard.json").write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=True))
-    print("policy ranking by mean cumulative reward:")
-    for row in payload["leaderboard"]:
-        print(f"  {row['policy']:<20} {row['mean_reward']:.6g}")
     return EXIT_OK
 
 
@@ -446,12 +415,18 @@ def cmd_report(cfg: Config, plot_data: bool = False) -> int:
         copied.write_text("\n".join(rows) + "\n")
 
     reports = {}
-    for path in sorted(reports_dir.glob("eval_*.json")):
-        report = reports[path.stem] = report_from_json(path.read_text())
-        _check_stamp(cfg, report.fingerprint, path.name)
+    for key in sorted(manifest["files"]):
+        if key.startswith("eval_") and key.endswith(".json"):
+            report = reports[key.removesuffix(".json")] = report_from_json(
+                (reports_dir / key).read_text())
+            _check_stamp(cfg, report.fingerprint, key)
+    # best mean reward first; ties keep the names' order
+    ranked = sorted(reports.items(),
+                    key=lambda item: -reward_rank(item[1].aggregate()["mean_reward"]))
+    for stem, report in ranked:
         agg = report.aggregate()
         lines.append(
-            f"{path.stem}: mean reward {agg['mean_reward']!r}, "
+            f"{stem}: mean reward {agg['mean_reward']!r}, "
             f"mean integral {agg['mean_integral']!r} over {agg['evaluated']} instances"
         )
         if plot_data:
@@ -459,7 +434,7 @@ def cmd_report(cfg: Config, plot_data: bool = False) -> int:
             plot_dir.mkdir(exist_ok=True)
             for row in report.rows:
                 if row.ok:
-                    (plot_dir / f"{path.stem}_{row.instance}.csv").write_text(plot_data_csv(row))
+                    (plot_dir / f"{stem}_{row.instance}.csv").write_text(plot_data_csv(row))
     if "eval_random" in reports:
         # the paper's claim (acceptance criterion 8): the learned policy beats
         # random branching by a paired sign test
@@ -484,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         help="override one config key (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "collect", "select", "train", "evaluate", "compare"):
+    for name in ("generate", "collect", "select", "train", "evaluate"):
         sub.add_parser(name)
     report_parser = sub.add_parser("report")
     report_parser.add_argument(

@@ -238,14 +238,14 @@ def select_best_checkpoint(
     for entry in table:
         if entry.error:
             continue
-        if best is None or _rank(entry) >= _rank(best):
+        if best is None or reward_rank(entry.mean_reward) >= reward_rank(best.mean_reward):
             best = entry
     return best.checkpoint_id, table
 
 
-def _rank(entry: CheckpointEntry) -> float:
-    """A checkpoint's mean reward, with NaN (no row solved) below every number."""
-    return -math.inf if math.isnan(entry.mean_reward) else entry.mean_reward
+def reward_rank(mean_reward: float) -> float:
+    """A mean reward as a sort key, with NaN (no row solved) below every number."""
+    return -math.inf if math.isnan(mean_reward) else mean_reward
 
 
 def checkpoint_table_json(best_id: str, table: list[CheckpointEntry]) -> str:
@@ -282,20 +282,3 @@ def paired_sign_test(report: EvalReport, baseline: EvalReport) -> tuple[int, int
     tail = sum(math.comb(trials, k) for k in range(wins, trials + 1))
     return wins, losses, tail / 2**trials
 
-
-def compare_policies(
-    policies: list[BranchingPolicy],
-    instances: list,
-    budget: Budget,
-    workers: int = 1,
-    seed: int = 0,
-) -> list[dict]:
-    """Leaderboard over the identical instance set and seeds, best reward first."""
-    rows = []
-    for policy in policies:
-        report = evaluate_policy(policy, instances, budget, workers=workers, seed=seed)
-        agg = report.aggregate()
-        del agg["instances"]
-        rows.append({"policy": policy.name, **agg, "report": report})
-    rows.sort(key=lambda r: (-(r["mean_reward"] if math.isfinite(r["mean_reward"]) else -math.inf), r["policy"]))
-    return rows

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ def _run(command: str, overrides: list[str], *extra_args) -> int:
 
 def test_full_pipeline_smoke(tmp_path):
     root = tmp_path / "run"
-    ov = _base_overrides(root)
+    ov = _base_overrides(root, **{"eval.baselines": "most-infeasible,random"})
 
     assert _run("generate", ov) == 0
     manifest = json.loads((root / "instances" / "manifest.json").read_text())
@@ -87,10 +88,27 @@ def test_full_pipeline_smoke(tmp_path):
     table = json.loads((root / "reports" / "checkpoint_table.json").read_text())
     assert table["selected"] in [e["checkpoint"] for e in table["table"]]
     assert all("valid_loss" in e and "mean_reward" in e for e in table["table"])
+    # a report that no manifest names is not read
+    reports = json.loads((root / "reports" / "manifest.json").read_text())
+    named = sorted(key for key in reports["files"] if key.startswith("eval_")
+                   and key.endswith(".json"))
+    assert len(named) == 3
+    (root / "reports" / "eval_stray.json").write_bytes(
+        (root / "reports" / "eval_random.json").read_bytes())
 
     assert _run("report", ov, "--plot-data") == 0
     summary = (root / "reports" / "summary.txt").read_text()
     assert "best checkpoint" in summary
+    assert "eval_stray" not in summary
+    assert not list((root / "reports" / "plotdata").glob("eval_stray_*"))
+    # the leaderboard: every named report, best mean reward first, each line's
+    # number the report's own aggregate
+    board = re.findall(r"^(eval_\S+): mean reward (\S+), mean integral", summary, re.M)
+    assert sorted(stem for stem, _ in board) == [key.removesuffix(".json") for key in named]
+    rewards = [json.loads((root / "reports" / f"{stem}.json").read_text())["aggregate"]
+               ["mean_reward"] for stem, _ in board]
+    assert [text for _, text in board] == [repr(r) for r in rewards]
+    assert rewards == sorted(rewards, reverse=True)
     # the criterion-8 statistic: paired W/L against random and its p-value
     (gcnn,) = sorted((root / "reports").glob("eval_gcnn_*.json"))
     ours, theirs = (

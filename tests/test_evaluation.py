@@ -10,7 +10,6 @@ from branchlab.bnb import Budget, DualTrace, dual_integral
 from branchlab.evaluation import (
     EvalReport,
     EvalRow,
-    compare_policies,
     evaluate_policy,
     paired_sign_test,
     report_from_json,
@@ -250,15 +249,6 @@ def test_selection_by_reward_overrides_loss(tmp_path):
     assert by_id["bad"].valid_loss < by_id["good"].valid_loss
     assert by_id["good"].mean_reward > by_id["bad"].mean_reward
     assert best == "good"
-
-
-def test_compare_policy_against_itself():
-    instances = _instances("multi-knapsack", 4)
-    rows = compare_policies(
-        [MostInfeasiblePolicy(), MostInfeasiblePolicy()], instances, Budget(max_nodes=40)
-    )
-    assert len(rows) == 2
-    assert rows[0]["mean_reward"] == rows[1]["mean_reward"]
 
 
 def test_sb_beats_random_on_node_count():

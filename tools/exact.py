@@ -33,9 +33,9 @@ results are never compared against stored digests. Probes:
   the last of one piece and the first of the next), the hex of every logit,
   every value, both loss heads' losses and gradients, and the
   prenormalisation scales;
-- ``run-root``: every file of a seed-11 run root after all seven CLI stages
-  at 16/4/8 instances. A manifest is compared without its ``wall_s``, the
-  stage's wall time;
+- ``run-root``: every file of a seed-11 run root after all six CLI stages
+  at 16/4/8 instances, with the five heuristics as ``eval.baselines``. A
+  manifest is compared without its ``wall_s``, the stage's wall time;
 - ``cli-faults``: the exit code and stderr (or the exception that escaped
   ``main``) of each CLI failure path, on a run root of the same config at
   3/2/2 instances: an unknown config key, an unknown subcommand, ``collect``
@@ -84,11 +84,12 @@ RUN_ROOT_CONFIG = {
     "hybrid.db0_mode": "value", "hybrid.db0_value": "1e18", "hybrid.r0": "0.8",
     "select.epochs": "25", "train.epochs": "20", "train.checkpoint_every": "5",
     "eval.max_nodes": "2000", "eval.max_clock": "3000",
+    "eval.baselines": "most-infeasible,pseudocost,strong-branching,active-constraint,random",
 }
 FAULT_CONFIG = dict(RUN_ROOT_CONFIG, **{
     "family.train_count": "3", "family.valid_count": "2", "family.test_count": "2"})
 LISTED = 20     # differing items named per probe
-STAGES = ("generate", "collect", "select", "train", "evaluate", "compare", "report")
+STAGES = ("generate", "collect", "select", "train", "evaluate", "report")
 
 
 # ---------------------------------------------------------------------------
